@@ -8,7 +8,6 @@ import argparse
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -215,20 +214,17 @@ def cmd_sweep(
         return 2
     base, ext = os.path.splitext(out)
 
-    def one(seed: int):
-        log = run(loaded.scenario.with_seed(seed))
-        path = f"{base}_seed{seed}{ext or '.csv'}"
-        _write_atomic(path, runlog_to_csv(log))
-        return seed, path, log
-
+    results = []
     try:
-        with ThreadPoolExecutor(max_workers=min(4, len(seeds))) as pool:
-            results = list(pool.map(one, seeds))
+        for seed in seeds:
+            log = run(loaded.scenario.with_seed(seed))
+            path = f"{base}_seed{seed}{ext or '.csv'}"
+            _write_atomic(path, runlog_to_csv(log))
+            results.append((seed, path, log.block_errors[-1, 0].max()))
     except DivergenceError as exc:
         _err(f"sweep aborted: {exc}", quiet)
         return 3
-    for seed, path, log in results:
-        worst = log.block_errors[-1, 0].max()
+    for seed, path, worst in results:
         _say(f"seed {seed}: wrote {path}, worst final position error {worst:.3g} m",
              quiet)
     return 0

@@ -4,11 +4,6 @@ Every threshold that an operation or a test depends on lives here, so the
 two can never drift apart.
 """
 
-# Jacobi eigensolver: stop when the off-diagonal Frobenius norm falls below
-# JACOBI_OFFDIAG_TOL relative to the Frobenius norm of the input.
-JACOBI_OFFDIAG_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
-
 # Spectrum quality gates (eigenvector orthogonality, A = Q diag(w) Q^T).
 ORTHOGONALITY_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-9

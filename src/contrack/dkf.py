@@ -15,7 +15,14 @@ import numpy as np
 
 from .graph import CommGraph, build_graph
 from .linalg import symmetrize
-from .sim import K_DIM, Scenario, _init_draws, dkf_floats_per_step, measurement_stream
+from .sim import (
+    K_DIM,
+    Scenario,
+    _init_draws,
+    _measurement_arrays,
+    dkf_floats_per_step,
+    measurement_stream,
+)
 
 STATE_DIM = 6
 
@@ -45,14 +52,13 @@ class InformationPair:
 def metropolis_weights(adjacency) -> np.ndarray:
     """Doubly stochastic averaging weights from vertex degrees."""
     a = np.asarray(adjacency, dtype=float)
-    n = a.shape[0]
-    degrees = (a > 0.0).sum(axis=1)
-    w = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j and a[i, j] > 0.0:
-                w[i, j] = 1.0 / (1.0 + max(degrees[i], degrees[j]))
-        w[i, i] = 1.0 - w[i].sum()
+    linked = a > 0.0
+    degrees = linked.sum(axis=1)
+    np.fill_diagonal(linked, False)
+    w = np.where(
+        linked, 1.0 / (1.0 + np.maximum(degrees[:, None], degrees[None, :])), 0.0
+    )
+    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
     return w
 
 
@@ -62,55 +68,61 @@ def transition_matrix(h: float) -> np.ndarray:
     return f
 
 
-def extract_estimate(pair: InformationPair) -> np.ndarray:
-    """Posterior state estimate; fails loudly when information is singular."""
+def _solve_information(omegas, qs) -> np.ndarray:
+    # Batched over the leading axis; fails loudly when information is singular.
     try:
-        return np.linalg.solve(pair.omega, pair.q)
+        return np.linalg.solve(omegas, qs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise ValueError(
             "insufficient information: singular information matrix"
         ) from exc
 
 
-def dkf_step(pairs, measurements, consensus_iters: int, graph: CommGraph, h: float):
+def extract_estimate(pair: InformationPair) -> np.ndarray:
+    """Posterior state estimate; fails loudly when information is singular."""
+    return _solve_information(pair.omega[None], pair.q[None])[0]
+
+
+def _symmetrize_stack(mats):
+    return 0.5 * (mats + mats.transpose(0, 2, 1))
+
+
+def dkf_step(pairs, measurements, consensus_iters: int, graph: CommGraph, h: float,
+             weights=None):
     """One filter cycle: local information update, consensus rounds, prediction.
 
     measurements is a sequence of (psi, y) per agent, with zero pairs for
-    agents lacking a measurement. Returns the propagated pairs and the
-    post-consensus state estimates.
+    agents lacking a measurement. weights are the graph's Metropolis weights;
+    a run passes them so they are built once, not on every step. Returns the
+    propagated pairs and the post-consensus state estimates.
     """
     if consensus_iters < 1:
         raise ValueError("need at least one consensus iteration")
     n = graph.n_agents
     if len(pairs) != n or len(measurements) != n:
         raise ValueError("pairs and measurements must cover every agent")
+    if weights is None:
+        weights = metropolis_weights(graph.adjacency)
 
     r_inv = np.linalg.inv(MEASUREMENT_NOISE)
-    omegas = np.empty((n, STATE_DIM, STATE_DIM))
-    qs = np.empty((n, STATE_DIM))
-    for i, (pair, (psi, y)) in enumerate(zip(pairs, measurements)):
-        hmat = np.zeros((K_DIM, STATE_DIM))
-        hmat[:, :K_DIM] = psi
-        omegas[i] = pair.omega + hmat.T @ r_inv @ hmat
-        qs[i] = pair.q + hmat.T @ r_inv @ np.asarray(y, dtype=float)
+    hmat = np.zeros((n, K_DIM, STATE_DIM))
+    hmat[:, :, :K_DIM] = [psi for psi, _ in measurements]
+    y = np.array([y for _, y in measurements], dtype=float)
+    ht_rinv = hmat.transpose(0, 2, 1) @ r_inv
+    omegas = np.array([p.omega for p in pairs]) + ht_rinv @ hmat
+    qs = np.array([p.q for p in pairs]) + (ht_rinv @ y[:, :, None])[:, :, 0]
 
-    weights = metropolis_weights(graph.adjacency)
     for _ in range(consensus_iters):
-        omegas = np.einsum("ij,jkl->ikl", weights, omegas)
+        omegas = (weights @ omegas.reshape(n, -1)).reshape(omegas.shape)
         qs = weights @ qs
 
-    estimates = np.empty((n, STATE_DIM))
+    omegas = _symmetrize_stack(omegas)
+    estimates = _solve_information(omegas, qs)
     f = transition_matrix(h)
-    out = []
-    for i in range(n):
-        fused = InformationPair(omega=omegas[i], q=qs[i])
-        x = extract_estimate(fused)
-        estimates[i] = x
-        cov = np.linalg.inv(fused.omega)
-        cov = f @ cov @ f.T + PROCESS_NOISE
-        omega_next = np.linalg.inv(symmetrize(cov))
-        omega_next = symmetrize(omega_next)
-        out.append(InformationPair(omega=omega_next, q=omega_next @ (f @ x)))
+    cov = f @ np.linalg.inv(omegas) @ f.T + PROCESS_NOISE
+    omega_next = _symmetrize_stack(np.linalg.inv(_symmetrize_stack(cov)))
+    q_next = (omega_next @ (f @ estimates[:, :, None]))[:, :, 0]
+    out = [InformationPair(omega=o, q=q) for o, q in zip(omega_next, q_next)]
     return out, estimates
 
 
@@ -151,6 +163,7 @@ def run_dkf(scenario: Scenario, consensus_iters: int = 2) -> DkfLog:
     avail_log = np.empty((n_rows, n), dtype=bool)
 
     per_step = dkf_floats_per_step(STATE_DIM, consensus_iters)
+    weights = metropolis_weights(g.adjacency)
     pairs = None
     stream = measurement_stream(scenario, rng, n_rows)
     for s, (t, positions, truth_now, bearings, avail, _theta, _phase) in enumerate(
@@ -171,15 +184,10 @@ def run_dkf(scenario: Scenario, consensus_iters: int = 2) -> DkfLog:
                     )
                 )
 
-        meas = []
-        for i in range(n):
-            if avail[i]:
-                psi = np.eye(K_DIM) - np.outer(bearings[i], bearings[i])
-                meas.append((psi, psi @ positions[i]))
-            else:
-                meas.append((np.zeros((K_DIM, K_DIM)), np.zeros(K_DIM)))
-
-        pairs, estimates = dkf_step(pairs, meas, consensus_iters, g, h)
+        psi, y = _measurement_arrays(positions, bearings, avail)
+        pairs, estimates = dkf_step(
+            pairs, list(zip(psi, y)), consensus_iters, g, h, weights
+        )
 
         truth_pos = truth_now[0]
         truth_vel = truth_now[1] if truth_now.shape[0] > 1 else np.zeros(K_DIM)

@@ -266,7 +266,8 @@ def consensus_alpha_bound(
     """Lower bound on the consensus gain alpha.
 
     With psi_blocks given, evaluates the general bound
-    (mu + ||Psi^2/gamma - Psi||) / lambda_min on the block-diagonal stack.
+    (mu + ||Psi^2/gamma - Psi||) / lambda_min for the block-diagonal stack
+    Psi, whose spectral norm is the largest over its diagonal blocks.
     Without blocks, uses the closed form (mu + 1/gamma - 1) / lambda_min
     valid for idempotent unit-norm observation matrices (projectors).
     """
@@ -276,15 +277,10 @@ def consensus_alpha_bound(
         raise ValueError("lambda_min must be strictly positive")
     if psi_blocks is None:
         return (mu + 1.0 / gamma - 1.0) / lambda_min
-    blocks = [symmetrize(b) for b in psi_blocks]
-    k = blocks[0].shape[0]
-    n = len(blocks)
-    stack = np.zeros((n * k, n * k))
-    for i, b in enumerate(blocks):
-        stack[i * k:(i + 1) * k, i * k:(i + 1) * k] = b
-    m = stack @ stack / gamma - stack
-    values = sym_eigen(m).values
-    spectral_norm = max(abs(values[0]), abs(values[-1]))
+    blocks = np.array([symmetrize(b) for b in psi_blocks])
+    m = blocks @ blocks / gamma - blocks
+    m = 0.5 * (m + m.transpose(0, 2, 1))
+    spectral_norm = np.abs(np.linalg.eigvalsh(m)).max()
     return float((mu + spectral_norm) / lambda_min)
 
 

@@ -13,7 +13,7 @@ from . import constants
 
 
 class ConvergenceError(RuntimeError):
-    """Eigensolver failed to reach its off-diagonal threshold."""
+    """Eigensolver failed to converge."""
 
 
 @dataclass(frozen=True)
@@ -40,77 +40,28 @@ def symmetrize(a) -> np.ndarray:
 def _fix_signs(vectors: np.ndarray) -> None:
     # Reproducible eigenvector orientation: first non-negligible component
     # of each column is made positive.
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        big = np.abs(col) > 1e-12 * max(1.0, np.abs(col).max())
-        idx = np.argmax(big)
-        if big[idx] and col[idx] < 0.0:
-            vectors[:, j] = -col
+    mags = np.abs(vectors)
+    big = mags > 1e-12 * np.maximum(1.0, mags.max(axis=0))
+    idx = np.argmax(big, axis=0)
+    cols = np.arange(vectors.shape[1])
+    flip = big[idx, cols] & (vectors[idx, cols] < 0.0)
+    vectors[:, flip] *= -1.0
 
 
 def sym_eigen(a) -> Spectrum:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Full eigendecomposition of a symmetric matrix (LAPACK, via numpy.linalg.eigh).
 
     Returns ascending eigenvalues and an orthogonal eigenvector matrix.
-    Raises ConvergenceError if the sweep cap is hit, which at the problem
+    Raises ConvergenceError if LAPACK fails to converge, which at the problem
     sizes used here indicates corrupted input rather than a hard matrix.
     """
     w = symmetrize(a)
-    n = w.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return Spectrum(values=w[0].copy(), vectors=v)
-
-    scale = np.linalg.norm(w, "fro")
-    if scale == 0.0:
-        return Spectrum(values=np.zeros(n), vectors=v)
-    threshold = constants.JACOBI_OFFDIAG_TOL * scale
-
-    def offdiag_norm(m):
-        off = m.copy()
-        np.fill_diagonal(off, 0.0)
-        return np.linalg.norm(off)
-
-    converged = False
-    for _ in range(constants.JACOBI_MAX_SWEEPS):
-        if offdiag_norm(w) <= threshold:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = w[p, q]
-                if abs(apq) <= threshold / (n * n):
-                    continue
-                theta = (w[q, q] - w[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e12:
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                    if theta == 0.0:
-                        t = 1.0
-                c = 1.0 / np.hypot(t, 1.0)
-                s = t * c
-                # Two-sided rotation on rows/cols p and q, then the basis.
-                wp, wq = w[:, p].copy(), w[:, q].copy()
-                w[:, p] = c * wp - s * wq
-                w[:, q] = s * wp + c * wq
-                wp, wq = w[p, :].copy(), w[q, :].copy()
-                w[p, :] = c * wp - s * wq
-                w[q, :] = s * wp + c * wq
-                w[p, q] = w[q, p] = 0.5 * (w[p, q] + w[q, p])
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    if not converged and offdiag_norm(w) > threshold:
+    try:
+        values, vectors = np.linalg.eigh(w)
+    except np.linalg.LinAlgError as exc:
         raise ConvergenceError(
-            f"Jacobi eigensolver did not converge for a {n}x{n} matrix "
-            f"within {constants.JACOBI_MAX_SWEEPS} sweeps"
-        )
-
-    values = np.diag(w).copy()
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    vectors = v[:, order]
+            f"eigensolver did not converge for a {w.shape[0]}x{w.shape[0]} matrix"
+        ) from exc
     _fix_signs(vectors)
     return Spectrum(values=values, vectors=vectors)
 

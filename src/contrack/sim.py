@@ -133,9 +133,16 @@ class Scenario:
         return self.adjacency.shape[0]
 
     def available(self, agent: int, t: float) -> bool:
-        if not self.loss_schedule:
-            return True
-        return not any(start <= t < end for start, end in self.loss_schedule[agent])
+        return bool(self.availability([t])[0, agent])
+
+    def availability(self, times) -> np.ndarray:
+        """Measurement availability of every agent at every time, (len(times), n)."""
+        times = np.asarray(times, dtype=float)
+        avail = np.ones((times.size, self.n_agents), dtype=bool)
+        for i, intervals in enumerate(self.loss_schedule):
+            for start, end in intervals:
+                avail[:, i] &= ~((start <= times) & (times < end))
+        return avail
 
     def with_seed(self, seed: int) -> "Scenario":
         return replace(self, seed=seed)
@@ -296,44 +303,63 @@ def _init_draws(rng, n: int, init_range):
     return radii, fallback
 
 
+# Samples per block of precomputed agent positions in measurement_stream:
+# large enough to amortize the per-agent interpolation calls, small enough
+# that a long run never holds its whole position table.
+STREAM_CHUNK = 256
+
+
+def _path_table(paths, times) -> np.ndarray:
+    """Positions of every agent at every time, shape (len(times), n, K_DIM).
+
+    One np.interp per moving agent and axis; AgentPath.position is the
+    per-sample reference.
+    """
+    out = np.empty((times.size, len(paths), K_DIM))
+    for i, path in enumerate(paths):
+        if path.is_static:
+            out[:, i] = path.points[0]
+        else:
+            for d in range(K_DIM):
+                out[:, i, d] = np.interp(times, path.times, path.points[:, d])
+    return out
+
+
 def measurement_stream(scenario: Scenario, rng, n_samples: int):
     """Yield (t, positions, truth, bearings, avail, noise draws) per logged time.
 
     Shared by the observer run and the baseline filter so a common seed means
     a common measurement realization. Draw order per sample: N rotation
-    angles, then N axis phases.
+    angles, then N axis phases. Agent positions and the loss mask are
+    evaluated STREAM_CHUNK samples at a time.
     """
-    static = all(p.is_static for p in scenario.agent_paths)
-    static_positions = (
-        np.array([p.points[0] for p in scenario.agent_paths]) if static else None
-    )
     u = scenario.target_input
     incremental = callable(u)
     truth = scenario.target_blocks.copy()
     h = scenario.step
     std_rad = np.deg2rad(scenario.noise_std_deg)
-    for s in range(n_samples):
-        t = s * h
-        if incremental:
-            if s > 0:
-                truth = propagate_truth(truth, h, u=_shift_input(u, t - h), step=h)
-            truth_now = truth
-        else:
-            truth_now = propagate_truth(scenario.target_blocks, t, u=u, step=h)
-        positions = (
-            static_positions
-            if static
-            else np.array([p.position(t) for p in scenario.agent_paths])
-        )
-        theta = rng.normal(0.0, std_rad, size=scenario.n_agents)
-        phase = rng.uniform(0.0, 2.0 * np.pi, size=scenario.n_agents)
-        b_true = _true_bearings(truth_now[0], positions, t)
-        axes = _noise_axes(b_true, np.cos(phase), np.sin(phase))
-        bearings = _apply_rotations(b_true, np.cos(theta), np.sin(theta), axes)
-        avail = np.array(
-            [scenario.available(i, t) for i in range(scenario.n_agents)]
-        )
-        yield t, positions, truth_now, bearings, avail, theta, phase
+    for first in range(0, n_samples, STREAM_CHUNK):
+        chunk = np.arange(first, min(first + STREAM_CHUNK, n_samples))
+        times = chunk * h
+        positions_table = _path_table(scenario.agent_paths, times)
+        avail_table = scenario.availability(times)
+        for row, s in enumerate(chunk.tolist()):
+            t = s * h
+            if incremental:
+                if s > 0:
+                    truth = propagate_truth(
+                        truth, h, u=_shift_input(u, t - h), step=h
+                    )
+                truth_now = truth
+            else:
+                truth_now = propagate_truth(scenario.target_blocks, t, u=u, step=h)
+            positions = positions_table[row]
+            theta = rng.normal(0.0, std_rad, size=scenario.n_agents)
+            phase = rng.uniform(0.0, 2.0 * np.pi, size=scenario.n_agents)
+            b_true = _true_bearings(truth_now[0], positions, t)
+            axes = _noise_axes(b_true, np.cos(phase), np.sin(phase))
+            bearings = _apply_rotations(b_true, np.cos(theta), np.sin(theta), axes)
+            yield t, positions, truth_now, bearings, avail_table[row], theta, phase
 
 
 def _shift_input(u, offset: float):
@@ -345,33 +371,6 @@ def _measurement_arrays(positions, bearings, avail):
     psi = mask * (np.eye(K_DIM)[None] - bearings[:, :, None] * bearings[:, None, :])
     y = np.einsum("nij,nj->ni", psi, positions)
     return psi, y
-
-
-def _lambda_min_sym3(mats):
-    """Smallest eigenvalue of a batch of symmetric 3x3 matrices, closed form.
-
-    Trigonometric solution of the characteristic cubic; used only for the
-    logged excitation series, so the certification path keeps its own solver.
-    """
-    a00, a11, a22 = mats[:, 0, 0], mats[:, 1, 1], mats[:, 2, 2]
-    a01, a02, a12 = mats[:, 0, 1], mats[:, 0, 2], mats[:, 1, 2]
-    q = (a00 + a11 + a22) / 3.0
-    p2 = (a00 - q) ** 2 + (a11 - q) ** 2 + (a22 - q) ** 2 + 2.0 * (
-        a01**2 + a02**2 + a12**2
-    )
-    p = np.sqrt(p2 / 6.0)
-    safe = np.where(p > 0.0, p, 1.0)
-    b00, b11, b22 = (a00 - q) / safe, (a11 - q) / safe, (a22 - q) / safe
-    b01, b02, b12 = a01 / safe, a02 / safe, a12 / safe
-    det_b = (
-        b00 * (b11 * b22 - b12 * b12)
-        - b01 * (b01 * b22 - b12 * b02)
-        + b02 * (b01 * b12 - b11 * b02)
-    )
-    r = np.clip(det_b / 2.0, -1.0, 1.0)
-    phi = np.arccos(r) / 3.0
-    lam_min = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-    return np.where(p > 0.0, lam_min, q)
 
 
 def run(scenario: Scenario) -> RunLog:
@@ -392,7 +391,7 @@ def run(scenario: Scenario) -> RunLog:
     rng = np.random.default_rng(scenario.seed)
     radii, fallback = _init_draws(rng, n, scenario.init_range)
 
-    transform = build_transformation(gains, K_DIM * n)
+    kernel = build_transformation(gains, 1).matrix
     rate = convergence_rate(gains)
     laplacian = g.laplacian
     kvec = np.asarray(gains.k)
@@ -470,17 +469,15 @@ def run(scenario: Scenario) -> RunLog:
         err = truth_obs[None, :, :] - est
         t_arr[s] = t
         block_err[s] = np.linalg.norm(err, axis=2).T
-        x_tilde = err.transpose(1, 0, 2).ravel()
-        eta = transform.matrix @ x_tilde
-        v_now = 0.5 * float(eta @ eta)
+        v_now = _lyapunov_value(kernel, err.transpose(1, 0, 2).reshape(m, -1))
         if s == 0:
             v0 = v_now
         v_arr[s] = v_now
         v_bound[s] = v0 * np.exp(-2.0 * rate * t)
         psi_means[s] = psi.mean(axis=0)
         x0 = est[:, 0]
-        pair_dist = np.linalg.norm(x0[:, None, :] - x0[None, :, :], axis=2)
-        disagreement[s] = float(pair_dist.max())
+        diff = x0[:, None, :] - x0[None, :, :]
+        disagreement[s] = float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff).max()))
         comm[s] = s * observer_floats_per_step(K_DIM)
         bearings_log[s] = bearings
         avail_log[s] = avail
@@ -508,7 +505,7 @@ def run(scenario: Scenario) -> RunLog:
         block_errors=block_err,
         v=v_arr,
         v_bound=v_bound,
-        lambda_min_spatial=_lambda_min_sym3(psi_means),
+        lambda_min_spatial=np.linalg.eigvalsh(psi_means)[:, 0],
         disagreement=disagreement,
         comm_floats=comm,
         bearings=bearings_log,
@@ -517,20 +514,29 @@ def run(scenario: Scenario) -> RunLog:
     )
 
 
+def _lyapunov_value(kernel, err_block) -> float:
+    # P = P_m (x) I, so eta = P x_tilde is the m x m kernel P_m applied to the
+    # (m, w) error block whose row l is every agent's block-l error.
+    eta = kernel @ err_block
+    return 0.5 * float(np.einsum("ij,ij->", eta, eta))
+
+
 def lyapunov_monitor(x_tilde, gains: ObserverGains, t: float, t0: float, v0: float,
                      transform=None):
     """Transformed-error Lyapunov value and its certified exponential envelope.
 
     x_tilde stacks the network error block-major (all agents' block 0, then
-    block 1, ...). Pass a prebuilt transformation to skip reconstruction.
+    block 1, ...). A prebuilt transformation of any block size may be passed;
+    only its m x m kernel is used.
     """
     x = np.asarray(x_tilde, dtype=float)
+    if x.size % gains.order:
+        raise ValueError("error vector length is not a multiple of the order")
     if transform is None:
-        if x.size % gains.order:
-            raise ValueError("error vector length is not a multiple of the order")
-        transform = build_transformation(gains, x.size // gains.order)
-    eta = transform.matrix @ x
-    v = 0.5 * float(eta @ eta)
+        transform = build_transformation(gains, 1)
+    w = transform.block_dim
+    kernel = transform.matrix[::w, ::w]
+    v = _lyapunov_value(kernel, x.reshape(gains.order, -1))
     bound = v0 * np.exp(-2.0 * convergence_rate(gains) * (t - t0))
     return v, bound
 

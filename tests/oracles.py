@@ -1,7 +1,7 @@
 """Independent eigenvalue oracle for the test suite.
 
 Householder tridiagonalization followed by bisection on the Sturm-sequence
-sign count. Shares no code path with the library's rotation-based solver, so
+sign count. Shares no code path with the library's LAPACK-backed solver, so
 agreement between the two is a meaningful check.
 """
 
