@@ -1,7 +1,9 @@
 """Command-line front end: certify, run, compare, sweep.
 
 Exit codes: 0 success (certify: all stability conditions pass), 1 failed
-certification, 2 invalid config or arguments, 3 simulation divergence.
+certification, 2 invalid config, arguments or scenario (such as an agent
+that coincides with the target), 3 simulation divergence. Every failure
+prints one `error:` line on stderr.
 """
 
 import argparse
@@ -19,6 +21,7 @@ from .graph import build_graph
 from .linalg import projection_matrix
 from .sim import (
     K_DIM,
+    BearingUndefined,
     DivergenceError,
     RunLog,
     Scenario,
@@ -43,7 +46,7 @@ def observation_blocks_at_start(scenario: Scenario):
         d = target[0] - path.position(0.0)
         dist = np.linalg.norm(d)
         if dist == 0.0:
-            raise ValueError(f"agent {i} coincides with the target at t=0")
+            raise BearingUndefined(f"agent {i} coincides with the target at t=0")
         blocks.append(projection_matrix(d / dist))
     return blocks
 
@@ -88,7 +91,7 @@ def cmd_certify(config_path: str, quiet: bool = False) -> int:
         scenario = loaded.scenario
         graph = build_graph(scenario.adjacency)
         blocks = observation_blocks_at_start(scenario)
-        report = certify(scenario.gains, graph, blocks)
+        report = certify(scenario.gains, graph, blocks, step=scenario.step)
     except (ConfigError, ValueError) as exc:
         _err(str(exc), quiet)
         return 2
@@ -116,6 +119,9 @@ def cmd_run(config_path: str, out_path: str | None, quiet: bool = False) -> int:
     except DivergenceError as exc:
         _err(f"run aborted: {exc}", quiet)
         return 3
+    except BearingUndefined as exc:
+        _err(str(exc), quiet)
+        return 2
     _write_atomic(out, runlog_to_csv(log))
     final = ", ".join(f"{e:.3g}" for e in log.block_errors[-1, 0])
     held = "yes" if _v_bound_held(log) else "no"
@@ -150,10 +156,13 @@ def cmd_compare(config_path: str, out_path: str | None, quiet: bool = False) -> 
     shared = replace(scenario, init_average=True)
     try:
         obs_log = run(shared)
+        dkf_log = run_dkf(shared, consensus_iters=2)
     except DivergenceError as exc:
         _err(f"observer run aborted: {exc}", quiet)
         return 3
-    dkf_log = run_dkf(shared, consensus_iters=2)
+    except BearingUndefined as exc:
+        _err(str(exc), quiet)
+        return 2
 
     _write_atomic(out, _compare_csv(obs_log, dkf_log))
     obs_step = observer_floats_per_step(K_DIM)
@@ -214,20 +223,25 @@ def cmd_sweep(
         return 2
     base, ext = os.path.splitext(out)
 
-    results = []
+    # One batched run over every seed; a seed that diverges leaves the batch
+    # and the others finish.
     try:
-        for seed in seeds:
-            log = run(loaded.scenario.with_seed(seed))
-            path = f"{base}_seed{seed}{ext or '.csv'}"
-            _write_atomic(path, runlog_to_csv(log))
-            results.append((seed, path, log.block_errors[-1, 0].max()))
-    except DivergenceError as exc:
-        _err(f"sweep aborted: {exc}", quiet)
-        return 3
-    for seed, path, worst in results:
+        outcomes = run(loaded.scenario, seeds)
+    except BearingUndefined as exc:
+        _err(str(exc), quiet)
+        return 2
+    written = []
+    for seed, outcome in zip(seeds, outcomes):
+        if isinstance(outcome, DivergenceError):
+            _err(f"seed {seed}: run aborted: {outcome}", quiet)
+            continue
+        path = f"{base}_seed{seed}{ext or '.csv'}"
+        _write_atomic(path, runlog_to_csv(outcome))
+        written.append((seed, path, outcome.block_errors[-1, 0].max()))
+    for seed, path, worst in written:
         _say(f"seed {seed}: wrote {path}, worst final position error {worst:.3g} m",
              quiet)
-    return 0
+    return 0 if len(written) == len(seeds) else 3
 
 
 def main(argv=None) -> int:

@@ -21,3 +21,4 @@ INVERSE_IDENTITY_TOL = 1e-9
 
 # Simulation.
 DIVERGENCE_LIMIT = 1e9
+DURATION_STEP_RTOL = 1e-9     # duration / step must be this close to a whole number

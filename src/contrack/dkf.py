@@ -19,6 +19,7 @@ from .sim import (
     K_DIM,
     Scenario,
     _init_draws,
+    _initial_positions,
     _measurement_arrays,
     dkf_floats_per_step,
     measurement_stream,
@@ -149,8 +150,7 @@ def run_dkf(scenario: Scenario, consensus_iters: int = 2) -> DkfLog:
     g = build_graph(scenario.adjacency)
     n = g.n_agents
     h = scenario.step
-    steps = int(round(scenario.duration / h))
-    n_rows = steps + 1
+    n_rows = scenario.n_steps + 1
 
     rng = np.random.default_rng(scenario.seed)
     radii, fallback = _init_draws(rng, n, scenario.init_range)
@@ -170,10 +170,8 @@ def run_dkf(scenario: Scenario, consensus_iters: int = 2) -> DkfLog:
         stream
     ):
         if s == 0:
-            directions = np.where(avail[:, None], bearings, fallback)
-            p_init = positions + radii[:, None] * directions
-            if scenario.init_average:
-                p_init = np.broadcast_to(p_init.mean(axis=0), (n, K_DIM)).copy()
+            p_init = _initial_positions(positions, bearings, avail, radii, fallback,
+                                        scenario.init_average)
             pairs = []
             for i in range(n):
                 x0 = np.concatenate([p_init[i], np.zeros(K_DIM)])

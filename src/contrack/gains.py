@@ -12,6 +12,9 @@ conditions:
   3. for M >= 3, positive definiteness of a constant matrix Q built from the
      gain ratios c_l = k_{l+1}/k_l and the design parameter delta.
 
+Certification also checks that the fixed-step RK4 integrator is stable on
+the fastest error mode at the configured integration step.
+
 This module builds those objects, certifies a configuration, and exposes the
 similarity transformation that turns the raw error dynamics into the
 coordinates in which the certified decay rate is measured.
@@ -85,6 +88,7 @@ class CertificationReport:
     qbar_lambda_min: float | None
     lmi_ok: bool
     rate_bound: float
+    step_ok: bool
     overall: bool
 
     def to_dict(self) -> dict:
@@ -97,6 +101,7 @@ class CertificationReport:
             "qbar_lambda_min": self.qbar_lambda_min,
             "lmi_ok": self.lmi_ok,
             "rate_bound": self.rate_bound,
+            "step_ok": self.step_ok,
             "overall": self.overall,
         }
 
@@ -311,13 +316,27 @@ def convergence_rate(gains: ObserverGains) -> float:
     return float(sym_eigen(build_qbar(gains)).values[0] / 2.0)
 
 
+def rk4_stable(gains: ObserverGains, lambda_max: float, step: float) -> bool:
+    """Whether RK4 at the given step is stable on the fastest error mode.
+
+    That mode is the closed-loop chain matrix with correction gain
+    k (alpha lambda_max(L) + 1): the largest Laplacian eigenvalue plus a unit
+    projector eigenvalue. Stable means |R(h s)| <= 1 over its eigenvalues s,
+    with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 the RK4 stability polynomial.
+    """
+    z = step * np.linalg.eigvals(build_xi(gains, [[gains.alpha * lambda_max + 1.0]]))
+    r = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
+    return bool(np.all(np.abs(r) <= 1.0))
+
+
 def certify(
-    gains: ObserverGains, graph: CommGraph, observation_blocks
+    gains: ObserverGains, graph: CommGraph, observation_blocks, step: float
 ) -> CertificationReport:
     """Evaluate every stability condition at one time instant's observations.
 
     The spatial condition is time-varying, so this certifies the supplied
-    snapshot; simulation-side monitoring covers the rest of the horizon.
+    snapshot; simulation-side monitoring covers the rest of the horizon. The
+    RK4 step-size condition is checked at the given integration step.
     """
     blocks = [symmetrize(b) for b in observation_blocks]
     if len(blocks) != graph.n_agents:
@@ -349,7 +368,8 @@ def certify(
         lmi_ok = True
         rate_bound = gains.delta * gains.k[0]
 
-    overall = bool(connected and margin > 0.0 and alpha_ok and lmi_ok)
+    step_ok = rk4_stable(gains, float(graph.spectrum.values[-1]), step)
+    overall = bool(connected and margin > 0.0 and alpha_ok and lmi_ok and step_ok)
     return CertificationReport(
         connected=connected,
         mu=mu,
@@ -359,5 +379,6 @@ def certify(
         qbar_lambda_min=qbar_lambda_min,
         lmi_ok=lmi_ok,
         rate_bound=rate_bound,
+        step_ok=step_ok,
         overall=overall,
     )

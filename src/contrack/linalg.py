@@ -16,6 +16,14 @@ class ConvergenceError(RuntimeError):
     """Eigensolver failed to converge."""
 
 
+class NonFiniteDerivative(ValueError):
+    """rk4_step met a non-finite derivative; carries the stage time."""
+
+    def __init__(self, time: float):
+        super().__init__(f"non-finite derivative at t={time}")
+        self.time = time
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Eigendecomposition of a symmetric matrix.
@@ -101,8 +109,8 @@ def rk4_step(f, t: float, state, h: float) -> np.ndarray:
 
     def eval_stage(ts, xs):
         d = np.asarray(f(ts, xs), dtype=float)
-        if not np.all(np.isfinite(d)):
-            raise ValueError(f"non-finite derivative at t={ts}")
+        if not np.isfinite(d).all():
+            raise NonFiniteDerivative(ts)
         return d
 
     k1 = eval_stage(t, state)

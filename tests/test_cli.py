@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from contrack import cli
 from contrack.cli import main
 from conftest import SCENARIOS_DIR
 
@@ -190,3 +191,69 @@ def test_quiet_suppresses_output(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ""
+
+
+def _error_lines(err):
+    lines = err.strip().splitlines()
+    assert "Traceback" not in err
+    return lines
+
+
+@pytest.mark.parametrize("verb", ["run", "compare", "sweep"])
+def test_agent_on_target_is_a_scenario_error(tmp_path, capsys, verb):
+    # Agent 0 sits where the target starts: its bearing is undefined.
+    cfg = short_cfg(tmp_path, extra=[("position0 = -10 10 2", "position0 = 0 -15 0")])
+    argv = [verb, "--config", cfg, "--out", str(tmp_path / "c.csv")]
+    if verb == "sweep":
+        argv += ["--seeds", "1,2"]
+    assert main(argv) == 2
+    lines = _error_lines(capsys.readouterr().err)
+    assert len(lines) == 1
+    assert lines[0].startswith("error: bearing undefined at t=0.000000")
+    assert not list(tmp_path.glob("c*.csv"))
+
+
+@pytest.mark.parametrize("verb", ["run", "compare", "sweep"])
+def test_internal_value_error_is_not_a_scenario_error(tmp_path, monkeypatch, verb):
+    # Only an undefined bearing means a bad scenario; a solver failure inside
+    # the run surfaces as itself.
+    def fail(*_args, **_kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli, "run", fail)
+    argv = [verb, "--config", short_cfg(tmp_path), "--out", str(tmp_path / "c.csv")]
+    if verb == "sweep":
+        argv += ["--seeds", "1,2"]
+    with pytest.raises(np.linalg.LinAlgError):
+        main(argv)
+
+
+def test_non_finite_derivative_is_a_divergence(tmp_path, capsys):
+    # alpha * L overflows to inf, so the very first derivative is not finite.
+    cfg = short_cfg(tmp_path, extra=[("alpha = 15.9", "alpha = 1e308")])
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "d.csv")]) == 3
+    lines = _error_lines(capsys.readouterr().err)
+    assert lines == ["error: run aborted: simulation diverged at t=0.000000 s"]
+
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s.csv"),
+                 "--seeds", "1,2"]) == 3
+    lines = _error_lines(capsys.readouterr().err)
+    assert [line.split(":")[1] for line in lines] == [" seed 1", " seed 2"]
+    assert all(line.endswith("diverged at t=0.000000 s") for line in lines)
+    assert not list(tmp_path.glob("s_seed*.csv"))
+
+
+@pytest.mark.parametrize("verb", ["certify", "run"])
+def test_duration_not_a_whole_number_of_steps(tmp_path, capsys, verb):
+    cfg = short_cfg(tmp_path, duration=0.0025)
+    assert main([verb, "--config", cfg, "--out", str(tmp_path / "w.csv")]
+                if verb == "run" else [verb, "--config", cfg]) == 2
+    lines = _error_lines(capsys.readouterr().err)
+    assert len(lines) == 1 and "not a whole number" in lines[0]
+
+
+def test_certify_reports_step_check(capsys):
+    assert main(["certify", "--config", CV_CFG]) == 0
+    out = capsys.readouterr().out
+    assert "step_ok: true" in out
+    assert json.loads(out.split("--- machine ---")[1].strip())["step_ok"] is True

@@ -170,3 +170,21 @@ def test_inline_comments_ignored(tmp_path):
     path = tmp_path / "comments.cfg"
     path.write_text(base.replace("alpha = 15.9", "alpha = 15.9  # consensus gain"))
     assert parse_config(str(path)).scenario.gains.alpha == 15.9
+
+
+@pytest.mark.parametrize("duration", ["0.05", "0.4", "1.0", "30.0", "35.0", "60.0"])
+def test_duration_whole_number_of_steps_loads(tmp_path, duration):
+    base = open(os.path.join(SCENARIOS_DIR, "m2_constant_velocity.cfg")).read()
+    path = tmp_path / "ok.cfg"
+    path.write_text(base.replace("duration = 30.0", f"duration = {duration}"))
+    scenario = parse_config(str(path)).scenario
+    assert scenario.n_steps == round(float(duration) / 0.001)
+
+
+@pytest.mark.parametrize("duration", ["0.0025", "1.0005", "0.0011"])
+def test_duration_off_the_step_grid_rejected(tmp_path, duration):
+    base = open(os.path.join(SCENARIOS_DIR, "m2_constant_velocity.cfg")).read()
+    path = tmp_path / "off.cfg"
+    path.write_text(base.replace("duration = 30.0", f"duration = {duration}"))
+    with pytest.raises(ConfigError, match="not a whole number of 0.001 s steps"):
+        parse_config(str(path))

@@ -4,9 +4,13 @@ Each reference is written out here from its definition: a double loop for the
 Metropolis weights, a per-agent solve/inv filter cycle, the dense (m w)^2
 transformation matrix for the Lyapunov value, per-sample AgentPath.position
 calls and loss intervals for the sampled stream, a dense block-diagonal stack
-for the consensus-gain bound, and the Sturm-bisection oracle for the
-excitation series.
+for the consensus-gain bound, the Sturm-bisection oracle for the excitation
+series, the per-agent observer operations for the network derivative, and
+separate single-seed runs for a seed-batched run.
 """
+
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from contrack import sim
+from contrack import constants, sim
+from contrack.cli import main
+from contrack.config import emit_config
 from contrack.dkf import (
     MEASUREMENT_NOISE,
     PROCESS_NOISE,
@@ -31,6 +37,7 @@ from contrack.observer import (
     NeighborEstimate,
     correction_term,
     observer_derivative,
+    unavailable_measurement,
 )
 from contrack.sim import AgentPath, Scenario, _init_draws, _true_bearings, run
 from conftest import SQUARE_AGENTS, ring_adjacency, scenario_cv
@@ -295,3 +302,290 @@ def test_lambda_min_spatial_matches_sturm_oracle():
                 mean += np.eye(3) - np.outer(b, b)
         mean /= log.n_agents
         assert abs(log.lambda_min_spatial[idx] - sturm_eigenvalues(mean)[0]) <= 1e-12
+
+
+def random_connected_adjacency(rng, n):
+    # A random spanning tree keeps the graph connected; extra edges are added
+    # at random, all with random positive weights.
+    a = np.zeros((n, n))
+    order = rng.permutation(n)
+    for i in range(1, n):
+        j = order[rng.integers(0, i)]
+        a[order[i], j] = a[j, order[i]] = rng.uniform(0.1, 3.0)
+    extra = np.triu(rng.random((n, n)) < 0.3, k=1) & (a == 0.0)
+    w = np.triu(rng.uniform(0.1, 3.0, size=(n, n)), k=1) * extra
+    return a + w + w.T
+
+
+def rodrigues(axis, theta):
+    """Rotation by theta about a unit axis."""
+    cross = np.array([[0.0, -axis[2], axis[1]],
+                      [axis[2], 0.0, -axis[0]],
+                      [-axis[1], axis[0], 0.0]])
+    return np.eye(3) + np.sin(theta) * cross + (1.0 - np.cos(theta)) * cross @ cross
+
+
+def random_rotation(rng, angle_std):
+    axis = rng.normal(size=3)
+    return rodrigues(axis / np.linalg.norm(axis), rng.normal(0.0, angle_std))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10_000), st.integers(2, 7), st.integers(1, 4),
+       st.floats(0.0, 0.2))
+def test_network_derivative_matches_per_agent_operations(seed, n, order, angle_std):
+    rng = np.random.default_rng(seed)
+    adjacency = random_connected_adjacency(rng, n)
+    gains = ObserverGains(k=tuple(rng.uniform(0.2, 10.0, size=order)),
+                          alpha=float(rng.uniform(0.1, 20.0)), delta=0.5, gamma=0.1)
+    target = rng.normal(scale=5.0, size=3)
+    positions = target + rng.normal(scale=20.0, size=(n, 3))
+    available = rng.random(n) < 0.7
+    bearings = []
+    for p in positions:
+        b = random_rotation(rng, angle_std) @ ((target - p) / np.linalg.norm(target - p))
+        bearings.append(b / np.linalg.norm(b))
+    bearings = np.array(bearings)
+    est = rng.normal(scale=10.0, size=(n, order, 3))
+
+    want = np.empty_like(est)
+    for i in range(n):
+        if available[i]:
+            psi = np.eye(3) - np.outer(bearings[i], bearings[i])
+            meas = Measurement(agent_id=i, available=True, psi=psi, y=psi @ positions[i])
+        else:
+            meas = unavailable_measurement(i)
+        state = AgentState(agent_id=i, blocks=est[i])
+        neighbors = [NeighborEstimate(neighbor_id=j, weight=adjacency[i, j],
+                                      first_block=est[j, 0])
+                     for j in range(n) if adjacency[i, j] > 0.0]
+        delta = correction_term(state, meas, neighbors, gains.alpha)
+        want[i] = observer_derivative(state, delta, gains).blocks
+
+    laplacian = np.diag(adjacency.sum(axis=1)) - adjacency
+    psi, y = sim._measurement_arrays(positions, bearings, available)
+    got = sim._network_derivative(
+        est[None], psi[None], y[None], gains.alpha * laplacian,
+        np.asarray(gains.k)[:, None],
+    )[0]
+    assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
+
+
+def batch_scenario(rng, order, noise, lossy, moving):
+    gains = ObserverGains(k=(5.0, 3.5, 0.5)[:order], alpha=15.9, delta=0.3, gamma=0.1)
+    target = np.array([[0.0, -15.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.1, 0.02]])
+    paths = tuple(SQUARE_AGENTS)
+    if moving:
+        paths = paths[:3] + (AgentPath(times=np.array([0.0, 0.1]),
+                                       points=np.array([[-10.0, -10.0, 2.0],
+                                                        [-8.0, -12.0, 4.0]])),)
+    loss = ()
+    if lossy:
+        start = float(rng.integers(0, 20)) * 1e-3
+        loss = (((start, start + 0.015),), (), ((0.0, 0.01),), ())
+    return scenario_cv(gains=gains, target_blocks=target[:int(rng.integers(1, 4))],
+                       agent_paths=paths, loss_schedule=loss, noise_std_deg=noise,
+                       duration=0.04, seed=int(rng.integers(0, 1000)))
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(0, 10_000), st.lists(st.integers(0, 10_000), min_size=1, max_size=4),
+       st.integers(1, 3), st.sampled_from([0.0, 0.5]), st.booleans(), st.booleans(),
+       st.integers(5, 300))
+def test_batched_run_matches_single_seed_runs(seed, seeds, order, noise, lossy,
+                                              moving, chunk):
+    s = batch_scenario(np.random.default_rng(seed), order, noise, lossy, moving)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "STREAM_CHUNK", chunk)
+        batch = run(s, seeds)
+        singles = [run(s.with_seed(x)) for x in seeds]
+    assert len(batch) == len(seeds)
+    for got, want in zip(batch, singles):
+        assert got.bearing_checksum == want.bearing_checksum
+        assert np.array_equal(got.t, want.t)
+        assert np.array_equal(got.available, want.available)
+        assert np.array_equal(got.bearings, want.bearings)
+        for field in ("block_errors", "v", "v_bound", "lambda_min_spatial",
+                      "disagreement", "comm_floats"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert_allclose(a, b, rtol=1e-9, atol=1e-12 * np.abs(b).max(), err_msg=field)
+
+
+@pytest.mark.parametrize("seeds", [None, [3, 4]])
+@pytest.mark.parametrize("chunk", [8, 5])
+def test_callable_input_matches_the_constant_input(seeds, chunk):
+    # 16 steps in chunks of 8 samples: the last sample opens a chunk with no
+    # step left to take. A callable returning the constant input drives the
+    # same target (RK4 is exact on its quadratic path).
+    u = np.array([0.0, 0.25, 0.0])
+    s = scenario_cv(target_input=u, duration=0.016, noise_std_deg=0.5, seed=3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "STREAM_CHUNK", chunk)
+        got = run(replace(s, target_input=lambda _t: u), seeds)
+        want = run(s, seeds)
+    for a_log, b_log in zip(np.atleast_1d(got), np.atleast_1d(want)):
+        assert a_log.t.size == 17
+        for field in ("bearings", "block_errors", "v", "lambda_min_spatial",
+                      "disagreement"):
+            a, b = getattr(a_log, field), getattr(b_log, field)
+            assert_allclose(a, b, rtol=1e-9, atol=1e-12 * np.abs(b).max(), err_msg=field)
+
+
+def test_sweep_with_one_diverging_seed_writes_the_other(tmp_path, monkeypatch, capsys):
+    # Each seed's peak estimate magnitude, from separate runs; a divergence
+    # limit between the two takes exactly one seed out of the sweep.
+    s = scenario_cv(duration=0.05, init_range=(5.0, 300.0))
+    seeds = (3, 4)
+    peaks = {}
+    for seed in seeds:
+        seen = []
+
+        def spy(*args):
+            out = rk4_step(*args)
+            seen.append(np.abs(out).max())
+            return out
+
+        monkeypatch.setattr(sim, "rk4_step", spy)
+        run(s.with_seed(seed))
+        peaks[seed] = max(seen)
+    monkeypatch.undo()
+    low, high = sorted(seeds, key=peaks.get)
+    assert peaks[high] > 1.01 * peaks[low]
+    monkeypatch.setattr(constants, "DIVERGENCE_LIMIT", 0.5 * (peaks[low] + peaks[high]))
+
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(emit_config(s))
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                 "--seeds", ",".join(map(str, seeds))]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(
+        f"error: seed {high}: run aborted: simulation diverged at t=")
+    assert not os.path.exists(tmp_path / f"s_seed{high}.csv")
+
+    single = tmp_path / "single.csv"
+    cfg.write_text(emit_config(s.with_seed(low)))
+    assert main(["run", "--config", str(cfg), "--out", str(single), "--quiet"]) == 0
+    swept = np.loadtxt(tmp_path / f"s_seed{low}.csv", delimiter=",", skiprows=1)
+    assert_allclose(swept, np.loadtxt(single, delimiter=",", skiprows=1), rtol=1e-9)
+
+
+def test_non_finite_seed_leaves_the_batch_alone():
+    # Seed 1's consensus term overflows at the first stage; seed 0 advances
+    # exactly as it does on its own.
+    rng = np.random.default_rng(5)
+    n = 4
+    laplacian = 2.0 * np.eye(n) - ring_adjacency(n)
+    k_col = np.array([[5.0], [3.5]])
+    est = rng.normal(scale=10.0, size=(2, n, 2, 3))
+    est[1, 0, 0] = 1e308
+    bearings = rng.normal(size=(4, 2, n, 3))
+    bearings /= np.linalg.norm(bearings, axis=-1, keepdims=True)
+    psi, y = sim._measurement_arrays(SQUARE_AGENTS, bearings, np.ones(n, dtype=bool))
+    args = (0.25, 1e-3)
+    rest = (15.9 * laplacian, k_col)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, failed = sim._advance(est, *args, psi, y, *rest)
+        alone, none = sim._advance(est[:1], *args, psi[:, :1], y[:, :1], *rest)
+    assert none is None
+    assert failed[0] == np.inf and failed[1] == 0.25
+    assert np.array_equal(out[0], alone[0])
+
+
+@settings(deadline=None, max_examples=8)
+@given(st.integers(0, 10_000), st.sampled_from([0.0, 0.5]))
+def test_run_matches_per_agent_reference_with_stage_truth_and_noise(seed, noise_deg):
+    # An accelerating target, noisy bearings and a lost measurement: the
+    # reference replays the seed's draws, builds each noise rotation from its
+    # angle and axis phase, and evaluates the per-agent observer operations
+    # at the RK4 stage positions of the target chain restarted from the
+    # sampled truth. The coarse step makes the two midpoint stages differ
+    # by far more than the tolerance.
+    target = np.array([[0.0, 10.0, 0.0], [0.0, -2.0, 0.5], [3.0, 1.5, 0.5]])
+    gains = ObserverGains(k=(1.0, 0.5), alpha=1.0, delta=0.8, gamma=0.1)
+    loss = (((0.2, 0.45),), (), (), ())
+    s = scenario_cv(gains=gains, target_blocks=target, noise_std_deg=noise_deg,
+                    step=0.05, duration=1.0, seed=seed, loss_schedule=loss)
+    log = run(s)
+
+    n, h = 4, s.step
+    rng = np.random.default_rng(seed)
+    radii = rng.uniform(*s.init_range, size=n)
+    rng.normal(size=(n, 3))  # fallback directions, unused: agent 0 sees at t = 0
+
+    def shift(x):
+        return np.vstack([x[1:], np.zeros((1, 3))])
+
+    def bearing(p_target, i):
+        d = p_target - SQUARE_AGENTS[i]
+        return d / np.linalg.norm(d)
+
+    states = None
+    for step in range(log.t.size):
+        t = step * h
+        truth = np.array([target[0] + target[1] * t + 0.5 * target[2] * t * t,
+                          target[1] + target[2] * t, target[2]])
+        theta = rng.normal(0.0, np.deg2rad(noise_deg), size=n)
+        phase = rng.uniform(0.0, 2.0 * np.pi, size=n)
+        rotations = []
+        for i in range(n):
+            b = bearing(truth[0], i)
+            ref = np.zeros(3)
+            ref[np.argmin(np.abs(b))] = 1.0
+            e1 = np.cross(ref, b) / np.linalg.norm(np.cross(ref, b))
+            axis = np.cos(phase[i]) * e1 + np.sin(phase[i]) * np.cross(b, e1)
+            rotations.append(rodrigues(axis, theta[i]))
+        if states is None:
+            states = np.zeros((n, 2, 3))
+            for i in range(n):
+                measured = rotations[i] @ bearing(truth[0], i)
+                states[i, 0] = SQUARE_AGENTS[i] + radii[i] * measured
+        errs = np.stack([np.linalg.norm(truth[0] - states[:, 0], axis=1),
+                         np.linalg.norm(truth[1] - states[:, 1], axis=1)])
+        assert_allclose(log.block_errors[step], errs, rtol=1e-9, atol=1e-12)
+        spread = max(np.linalg.norm(a - b) for a in states[:, 0] for b in states[:, 0])
+        assert log.disagreement[step] == pytest.approx(spread, rel=1e-9)
+        if step == log.t.size - 1:
+            break
+
+        x2 = truth + 0.5 * h * shift(truth)
+        x3 = truth + 0.5 * h * shift(x2)
+        x4 = truth + h * shift(x3)
+        seen = [not any(a <= t < b for a, b in loss[i]) for i in range(n)]
+
+        def f(stage_target, flat):
+            out = np.empty_like(flat)
+            for i in range(n):
+                state = AgentState(agent_id=i, blocks=flat[i])
+                if seen[i]:
+                    b = rotations[i] @ bearing(stage_target, i)
+                    psi = np.eye(3) - np.outer(b, b)
+                    meas = Measurement(agent_id=i, available=True, psi=psi,
+                                       y=psi @ SQUARE_AGENTS[i])
+                else:
+                    meas = unavailable_measurement(i)
+                neighbors = [NeighborEstimate(neighbor_id=j, weight=s.adjacency[i, j],
+                                              first_block=flat[j, 0])
+                             for j in range(n) if s.adjacency[i, j] > 0.0]
+                delta = correction_term(state, meas, neighbors, gains.alpha)
+                out[i] = observer_derivative(state, delta, gains).blocks
+            return out
+
+        k1 = f(truth[0], states)
+        k2 = f(x2[0], states + 0.5 * h * k1)
+        k3 = f(x3[0], states + 0.5 * h * k2)
+        k4 = f(x4[0], states + h * k3)
+        states = states + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 10_000), st.integers(2, 40))
+def test_max_pairwise_distance_matches_double_loop(seed, n):
+    points = np.random.default_rng(seed).normal(scale=10.0, size=(2, 3, n, 3))
+    want = np.zeros((2, 3))
+    for s in range(2):
+        for c in range(3):
+            want[s, c] = max(np.linalg.norm(points[s, c, i] - points[s, c, j])
+                             for i in range(n) for j in range(n))
+    assert_allclose(sim._max_pairwise_distance(points), want, rtol=1e-12)

@@ -14,10 +14,13 @@ from contrack.gains import (
     compute_mu,
     consensus_alpha_bound,
     convergence_rate,
+    rk4_stable,
     schur_pd_check,
     spatial_excitation_margin,
 )
+from contrack.graph import build_graph, lambda_min_positive
 from contrack.linalg import is_pd, projection_matrix, sym_eigen
+from contrack.sim import DivergenceError, Scenario, run
 from conftest import (
     TARGET_CV_POSITION,
     gains_ca,
@@ -246,7 +249,8 @@ def test_alpha_bound_validation():
 
 
 def test_certify_constant_velocity_design(square_graph):
-    report = certify(gains_cv(), square_graph, square_projection_blocks(TARGET_CV_POSITION))
+    report = certify(gains_cv(), square_graph, square_projection_blocks(TARGET_CV_POSITION),
+                     step=1e-3)
     assert report.connected
     assert report.mu == pytest.approx(0.3, abs=1e-15)
     assert report.spatial_margin > 0.0
@@ -259,7 +263,8 @@ def test_certify_constant_velocity_design(square_graph):
 
 
 def test_certify_third_order_lmi(square_graph):
-    report = certify(gains_ca(), square_graph, square_projection_blocks(TARGET_CV_POSITION))
+    report = certify(gains_ca(), square_graph, square_projection_blocks(TARGET_CV_POSITION),
+                     step=1e-3)
     assert report.lmi_ok
     oracle = sturm_eigenvalues(build_qbar(gains_ca()))[0]
     assert report.qbar_lambda_min == pytest.approx(oracle, abs=1e-8)
@@ -268,14 +273,15 @@ def test_certify_third_order_lmi(square_graph):
 def test_certify_identical_bearings_fails(square_graph):
     b = np.array([0.0, 1.0, 0.0])
     blocks = [projection_matrix(b)] * 4
-    report = certify(gains_cv(), square_graph, blocks)
+    report = certify(gains_cv(), square_graph, blocks, step=1e-3)
     assert report.spatial_margin < 0.0
     assert not report.overall
 
 
 def test_certify_first_order_report(square_graph):
     g = ObserverGains(k=(5.0,), alpha=15.9, delta=0.3, gamma=0.1)
-    report = certify(g, square_graph, square_projection_blocks(TARGET_CV_POSITION))
+    report = certify(g, square_graph, square_projection_blocks(TARGET_CV_POSITION),
+                     step=1e-3)
     assert report.qbar_lambda_min is None
     assert report.lmi_ok
     assert report.rate_bound == pytest.approx(1.5, abs=1e-12)
@@ -284,18 +290,20 @@ def test_certify_first_order_report(square_graph):
 
 def test_certify_dimension_mismatch(square_graph):
     with pytest.raises(ValueError):
-        certify(gains_cv(), square_graph, square_projection_blocks(TARGET_CV_POSITION)[:3])
+        certify(gains_cv(), square_graph, square_projection_blocks(TARGET_CV_POSITION)[:3],
+                step=1e-3)
 
 
 def test_certify_report_serialization(square_graph):
-    report = certify(gains_cv(), square_graph, square_projection_blocks(TARGET_CV_POSITION))
+    report = certify(gains_cv(), square_graph, square_projection_blocks(TARGET_CV_POSITION),
+                     step=1e-3)
     text = report.to_text()
     assert "overall: true" in text
     assert "spatial_margin:" in text
     data = report.to_dict()
     assert set(data) == {
         "connected", "mu", "spatial_margin", "alpha_bound", "alpha_ok",
-        "qbar_lambda_min", "lmi_ok", "rate_bound", "overall",
+        "qbar_lambda_min", "lmi_ok", "rate_bound", "step_ok", "overall",
     }
     assert '"overall": true' in report.to_json()
 
@@ -379,7 +387,7 @@ def test_transformed_blocks_and_certification_chain():
         assert np.max(np.abs(transformed[:3, 3:] - top_right)) <= 1e-9
         assert np.max(np.abs(transformed[3:, 3:] - bottom)) <= 1e-9
 
-        report = certify(gains, graph, blocks)
+        report = certify(gains, graph, blocks, step=1e-3)
         if report.overall:
             certified += 1
             lam = lambda_min_positive(graph)
@@ -404,3 +412,62 @@ def test_schur_check_soundness_sampled():
             exact = a - b @ np.linalg.inv(c) @ b.T
             assert np.linalg.eigvalsh(exact)[0] > 0.0
     assert fired > 20  # the sample must actually exercise the implication
+
+
+def circle_swarm(n, neighbours):
+    """n static agents on a circle above the constant-velocity target, every
+    bearing at the elevation where the mean projector is (2/3) I, on a
+    circulant graph; alpha is 1.2 times the projector-form bound."""
+    a = np.zeros((n, n))
+    idx = np.arange(n)
+    for k in range(1, neighbours + 1):
+        a[idx, (idx + k) % n] = a[(idx + k) % n, idx] = 1.0
+    graph = build_graph(a)
+    mu = compute_mu(gains_cv())
+    bound = consensus_alpha_bound(mu, 0.1, lambda_min_positive(graph))
+    gains = ObserverGains(k=(5.0, 3.5), alpha=1.2 * bound, delta=0.8, gamma=0.1)
+    phases = 2.0 * np.pi * idx / n
+    agents = np.stack([20.0 * np.cos(phases), 20.0 * np.sin(phases),
+                       np.full(n, 20.0 * np.sqrt(0.5))], axis=1) + TARGET_CV_POSITION
+    blocks = []
+    for p in agents:
+        d = TARGET_CV_POSITION - p
+        blocks.append(projection_matrix(d / np.linalg.norm(d)))
+    return gains, graph, agents, blocks, bound
+
+
+def test_certify_rejects_a_step_rk4_cannot_integrate():
+    # k1 alpha lambda_max(L) h = 6.17, past RK4's real-axis limit of 2.785:
+    # every other condition holds, and the run diverges within a few steps.
+    gains, graph, agents, blocks, bound = circle_swarm(256, 10)
+    assert bound == pytest.approx(40.2, abs=0.05)
+    report = certify(gains, graph, blocks, step=1e-3)
+    assert report.step_ok is False
+    assert not report.overall
+    assert '"step_ok": false' in report.to_json()
+    assert certify(gains, graph, blocks, step=4e-4).overall
+
+    scenario = Scenario(gains=gains, adjacency=graph.adjacency,
+                        agent_paths=tuple(agents),
+                        target_blocks=np.array([TARGET_CV_POSITION, [0.0, 0.5, 0.0]]),
+                        step=1e-3, duration=0.02, seed=1, noise_std_deg=0.0)
+    with pytest.raises(DivergenceError) as err:
+        run(scenario)
+    assert err.value.time == pytest.approx(0.006)
+
+
+def test_certify_step_check_passes_the_128_agent_swarm():
+    gains, graph, _agents, blocks, _bound = circle_swarm(128, 8)
+    lambda_max = graph.spectrum.values[-1]
+    assert gains.k[0] * gains.alpha * lambda_max * 1e-3 == pytest.approx(2.37, abs=0.01)
+    assert certify(gains, graph, blocks, step=1e-3).overall
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_rk4_stable_at_the_real_axis_limit(order):
+    # A first-order chain has the single mode s = -k1 (alpha lambda_max + 1);
+    # RK4's real stability interval ends at about -2.7853.
+    gains = ObserverGains(k=(1.0,) + (1e-6,) * (order - 1), alpha=1.0,
+                          delta=0.5, gamma=0.1)
+    assert rk4_stable(gains, 1.0, 2.78 / 2.0)
+    assert not rk4_stable(gains, 1.0, 2.79 / 2.0)
