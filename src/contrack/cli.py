@@ -2,8 +2,9 @@
 
 Exit codes: 0 success (certify: all stability conditions pass), 1 failed
 certification, 2 invalid config, arguments or scenario (such as an agent
-that coincides with the target), 3 simulation divergence. Every failure
-prints one `error:` line on stderr.
+that coincides with the target), 3 simulation divergence or, for compare, a
+baseline failure. Each of these failures prints one `error:` line on stderr;
+an internal error surfaces as itself.
 """
 
 import argparse
@@ -15,21 +16,23 @@ from dataclasses import replace
 import numpy as np
 
 from .config import ConfigError, parse_config
-from .dkf import STATE_DIM, run_dkf
+from .dkf import STATE_DIM, BaselineFailure, run_dkf
 from .gains import certify
 from .graph import build_graph
-from .linalg import projection_matrix
 from .sim import (
     K_DIM,
     BearingUndefined,
     DivergenceError,
     RunLog,
     Scenario,
+    _measurement_arrays,
+    _path_table,
+    _true_bearings,
     dkf_floats_per_step,
     observer_floats_per_step,
-    propagate_truth,
     run,
     runlog_to_csv,
+    table_to_csv,
 )
 
 V_BOUND_SLACK = 1e-9
@@ -37,18 +40,11 @@ V_BOUND_SLACK = 1e-9
 
 def observation_blocks_at_start(scenario: Scenario):
     """Noiseless observation matrices at t = 0, honoring the loss schedule."""
-    target = propagate_truth(scenario.target_blocks, 0.0, u=None)
-    blocks = []
-    for i, path in enumerate(scenario.agent_paths):
-        if not scenario.available(i, 0.0):
-            blocks.append(np.zeros((K_DIM, K_DIM)))
-            continue
-        d = target[0] - path.position(0.0)
-        dist = np.linalg.norm(d)
-        if dist == 0.0:
-            raise BearingUndefined(f"agent {i} coincides with the target at t=0")
-        blocks.append(projection_matrix(d / dist))
-    return blocks
+    times = np.zeros(1)
+    positions = _path_table(scenario.agent_paths, times)
+    bearings = _true_bearings(scenario.target_blocks[0], positions, times)
+    psi, _ = _measurement_arrays(positions, bearings, scenario.availability(times))
+    return list(psi[0])
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -160,6 +156,9 @@ def cmd_compare(config_path: str, out_path: str | None, quiet: bool = False) -> 
     except DivergenceError as exc:
         _err(f"observer run aborted: {exc}", quiet)
         return 3
+    except BaselineFailure as exc:
+        _err(f"baseline aborted: {exc}", quiet)
+        return 3
     except BearingUndefined as exc:
         _err(str(exc), quiet)
         return 2
@@ -190,16 +189,16 @@ def _compare_csv(obs_log: RunLog, dkf_log) -> str:
     cols += [f"obs_err_vel_agent{i + 1}" for i in range(n)]
     cols += [f"dkf_err_vel_agent{i + 1}" for i in range(n)]
     cols += ["obs_comm_floats", "dkf_comm_floats"]
-    lines = [",".join(cols)]
-    for s in range(obs_log.t.size):
-        row = [f"{obs_log.t[s]:.12g}"]
-        row += [f"{obs_log.block_errors[s, 0, i]:.12g}" for i in range(n)]
-        row += [f"{dkf_log.pos_errors[s, i]:.12g}" for i in range(n)]
-        row += [f"{obs_log.block_errors[s, 1, i]:.12g}" for i in range(n)]
-        row += [f"{dkf_log.vel_errors[s, i]:.12g}" for i in range(n)]
-        row += [f"{obs_log.comm_floats[s]:.12g}", f"{dkf_log.comm_floats[s]:.12g}"]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    table = np.column_stack([
+        obs_log.t,
+        obs_log.block_errors[:, 0],
+        dkf_log.pos_errors,
+        obs_log.block_errors[:, 1],
+        dkf_log.vel_errors,
+        obs_log.comm_floats,
+        dkf_log.comm_floats,
+    ])
+    return table_to_csv(",".join(cols), table)
 
 
 def cmd_sweep(

@@ -1,11 +1,25 @@
 """Consensus-on-information distributed Kalman filter baseline.
 
 A standard information-form filter for a constant-velocity target: each agent
-adds its local measurement information, the network averages information
-pairs with Metropolis weights for a fixed number of consensus rounds, and the
-pair is propagated through the exactly discretized double integrator. Used as
-the communication-cost and convergence comparison point for the proposed
+adds its local measurement information, the network averages the information
+stacks with Metropolis weights for a fixed number of consensus rounds, and the
+result is propagated through the exactly discretized double integrator. Used
+as the communication-cost and convergence comparison point for the proposed
 observer; it is deliberately a textbook baseline, not a contribution.
+
+The filter works on (n, 6, 6) information matrices and (n, 6) information
+vectors for all agents at once. The k consensus rounds are one product with
+the mixing matrix W^k, built once per run. The prediction uses the Woodbury
+form of (F Omega^-1 F^T + Q)^-1,
+
+    Omega' = Q^-1 - Q^-1 F (Omega + F^T Q^-1 F)^-1 F^T Q^-1,
+
+for a general process noise Q, with Q^-1, Q^-1 F and F^T Q^-1 F built once
+per run; Omega + F^T Q^-1 F is positive definite whenever Omega is positive
+semidefinite, so only the estimate solve can meet a singular matrix. A run
+reads the measurement stream the observer run() integrates on, chunk by
+chunk: the local information of every sample in a chunk is built at once,
+and the errors are computed from the chunk's estimate history.
 """
 
 import hashlib
@@ -13,16 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import CommGraph, build_graph
-from .linalg import symmetrize
+from .graph import build_graph
 from .sim import (
     K_DIM,
     Scenario,
     _init_draws,
     _initial_positions,
     _measurement_arrays,
+    _stream_chunks,
     dkf_floats_per_step,
-    measurement_stream,
 )
 
 STATE_DIM = 6
@@ -34,20 +47,13 @@ MEASUREMENT_NOISE = 0.01 * np.eye(K_DIM)
 INITIAL_INFORMATION = np.eye(STATE_DIM)
 
 
-@dataclass(frozen=True)
-class InformationPair:
-    """Information matrix / vector pair describing one agent's posterior."""
+class BaselineFailure(RuntimeError):
+    """The baseline cannot go on: a singular information matrix or a
+    non-finite estimate; carries the failing time."""
 
-    omega: np.ndarray
-    q: np.ndarray
-
-    def __post_init__(self):
-        omega = symmetrize(self.omega)
-        q = np.asarray(self.q, dtype=float)
-        if omega.shape != (STATE_DIM, STATE_DIM) or q.shape != (STATE_DIM,):
-            raise ValueError("information pair must be 6x6 and 6")
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "q", q)
+    def __init__(self, time: float, reason: str):
+        super().__init__(f"{reason} at t={time:.6f} s")
+        self.time = time
 
 
 def metropolis_weights(adjacency) -> np.ndarray:
@@ -63,68 +69,70 @@ def metropolis_weights(adjacency) -> np.ndarray:
     return w
 
 
+def mixing_matrix(adjacency, consensus_iters: int) -> np.ndarray:
+    """W^k: the k consensus rounds with Metropolis weights W as one matrix."""
+    if consensus_iters < 1:
+        raise ValueError("need at least one consensus iteration")
+    return np.linalg.matrix_power(metropolis_weights(adjacency), consensus_iters)
+
+
 def transition_matrix(h: float) -> np.ndarray:
     f = np.eye(STATE_DIM)
     f[:K_DIM, K_DIM:] = h * np.eye(K_DIM)
     return f
 
 
-def _solve_information(omegas, qs) -> np.ndarray:
-    # Batched over the leading axis; fails loudly when information is singular.
+def prediction_terms(h: float):
+    """(F, Q^-1, Q^-1 F, F^T Q^-1 F) of the Woodbury prediction at step h."""
+    f = transition_matrix(h)
+    q_inv = np.linalg.inv(PROCESS_NOISE)
+    q_inv_f = q_inv @ f
+    return f, q_inv, q_inv_f, f.T @ q_inv_f
+
+
+def local_information(psi, y):
+    """H^T R^-1 H and H^T R^-1 y of the position measurements H = [psi 0],
+    batched over the leading axes of psi (..., K_DIM, K_DIM) and y
+    (..., K_DIM); an agent without a measurement has zero psi and y."""
+    ht_rinv = psi.swapaxes(-1, -2) @ np.linalg.inv(MEASUREMENT_NOISE)
+    omegas = np.zeros(psi.shape[:-2] + (STATE_DIM, STATE_DIM))
+    qs = np.zeros(psi.shape[:-2] + (STATE_DIM,))
+    omegas[..., :K_DIM, :K_DIM] = ht_rinv @ psi
+    qs[..., :K_DIM] = (ht_rinv @ y[..., None])[..., 0]
+    return omegas, qs
+
+
+def dkf_step(omegas, qs, local_omegas, local_qs, mixing, prediction):
+    """One filter cycle of every agent: local information update, consensus
+    rounds, prediction.
+
+    omegas (n, 6, 6) and qs (n, 6) are the prior information stacks,
+    local_omegas and local_qs the agents' measurement information (see
+    local_information), mixing the consensus matrix W^k (see mixing_matrix)
+    and prediction the terms of prediction_terms. Returns the predicted
+    stacks and the post-consensus state estimates (n, 6). A singular
+    information matrix raises LinAlgError.
+    """
+    n = len(omegas)
+    if (local_omegas.shape != omegas.shape or local_qs.shape != qs.shape
+            or mixing.shape != (n, n)):
+        raise ValueError("information stacks, measurements and mixing matrix "
+                         "must cover every agent")
+    f, q_inv, q_inv_f, ft_q_inv_f = prediction
+    omegas = (mixing @ (omegas + local_omegas).reshape(n, -1)).reshape(omegas.shape)
+    qs = mixing @ (qs + local_qs)
     try:
-        return np.linalg.solve(omegas, qs[..., None])[..., 0]
+        estimates = np.linalg.solve(omegas, qs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
-        raise ValueError(
+        raise np.linalg.LinAlgError(
             "insufficient information: singular information matrix"
         ) from exc
-
-
-def extract_estimate(pair: InformationPair) -> np.ndarray:
-    """Posterior state estimate; fails loudly when information is singular."""
-    return _solve_information(pair.omega[None], pair.q[None])[0]
-
-
-def _symmetrize_stack(mats):
-    return 0.5 * (mats + mats.transpose(0, 2, 1))
-
-
-def dkf_step(pairs, measurements, consensus_iters: int, graph: CommGraph, h: float,
-             weights=None):
-    """One filter cycle: local information update, consensus rounds, prediction.
-
-    measurements is a sequence of (psi, y) per agent, with zero pairs for
-    agents lacking a measurement. weights are the graph's Metropolis weights;
-    a run passes them so they are built once, not on every step. Returns the
-    propagated pairs and the post-consensus state estimates.
-    """
-    if consensus_iters < 1:
-        raise ValueError("need at least one consensus iteration")
-    n = graph.n_agents
-    if len(pairs) != n or len(measurements) != n:
-        raise ValueError("pairs and measurements must cover every agent")
-    if weights is None:
-        weights = metropolis_weights(graph.adjacency)
-
-    r_inv = np.linalg.inv(MEASUREMENT_NOISE)
-    hmat = np.zeros((n, K_DIM, STATE_DIM))
-    hmat[:, :, :K_DIM] = [psi for psi, _ in measurements]
-    y = np.array([y for _, y in measurements], dtype=float)
-    ht_rinv = hmat.transpose(0, 2, 1) @ r_inv
-    omegas = np.array([p.omega for p in pairs]) + ht_rinv @ hmat
-    qs = np.array([p.q for p in pairs]) + (ht_rinv @ y[:, :, None])[:, :, 0]
-
-    for _ in range(consensus_iters):
-        omegas = (weights @ omegas.reshape(n, -1)).reshape(omegas.shape)
-        qs = weights @ qs
-
-    omegas = _symmetrize_stack(omegas)
-    estimates = _solve_information(omegas, qs)
-    f = transition_matrix(h)
-    cov = f @ np.linalg.inv(omegas) @ f.T + PROCESS_NOISE
-    omega_next = _symmetrize_stack(np.linalg.inv(_symmetrize_stack(cov)))
-    q_next = (omega_next @ (f @ estimates[:, :, None]))[:, :, 0]
-    out = [InformationPair(omega=o, q=q) for o, q in zip(omega_next, q_next)]
-    return out, estimates
+    gain = np.linalg.solve(omegas + ft_q_inv_f,
+                           np.broadcast_to(q_inv_f.T, omegas.shape))
+    omega_next = q_inv - q_inv_f @ gain
+    omega_next = 0.5 * (omega_next + omega_next.transpose(0, 2, 1))
+    q_next = (omega_next @ (estimates @ f.T)[..., None])[..., 0]
+    return omega_next, q_next, estimates
 
 
 @dataclass(frozen=True)
@@ -146,82 +154,79 @@ class DkfLog:
 
 def run_dkf(scenario: Scenario, consensus_iters: int = 2) -> DkfLog:
     """Run the baseline on a scenario, consuming the scenario's measurement
-    stream exactly as the observer run does (shared seed, shared stream)."""
+    stream exactly as the observer run does (shared seed, shared stream).
+
+    Raises BaselineFailure at the first sample whose information matrix is
+    singular or whose estimates are not finite.
+    """
     g = build_graph(scenario.adjacency)
     n = g.n_agents
-    h = scenario.step
     n_rows = scenario.n_steps + 1
+    mixing = mixing_matrix(g.adjacency, consensus_iters)
+    prediction = prediction_terms(scenario.step)
 
     rng = np.random.default_rng(scenario.seed)
     radii, fallback = _init_draws(rng, n, scenario.init_range)
 
-    t_arr = np.empty(n_rows)
     pos_err = np.empty((n_rows, n))
     vel_err = np.empty((n_rows, n))
-    comm = np.empty(n_rows)
     bearings_log = np.empty((n_rows, n, K_DIM))
     avail_log = np.empty((n_rows, n), dtype=bool)
 
-    per_step = dkf_floats_per_step(STATE_DIM, consensus_iters)
-    weights = metropolis_weights(g.adjacency)
-    pairs = None
-    stream = measurement_stream(scenario, rng, n_rows)
-    for s, (t, positions, truth_now, bearings, avail, _theta, _phase) in enumerate(
-        stream
-    ):
-        if s == 0:
-            p_init = _initial_positions(positions, bearings, avail, radii, fallback,
-                                        scenario.init_average)
-            pairs = []
-            for i in range(n):
-                x0 = np.concatenate([p_init[i], np.zeros(K_DIM)])
-                pairs.append(
-                    InformationPair(
-                        omega=INITIAL_INFORMATION.copy(),
-                        q=INITIAL_INFORMATION @ x0,
-                    )
+    omegas = qs = None
+    # A diverging filter may overflow before the finiteness check sees it;
+    # that check, not numpy warnings, reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for chunk in _stream_chunks(scenario, [rng], n_rows):
+            bearings = chunk.bearings[0]
+            if omegas is None:
+                x0 = np.zeros((n, STATE_DIM))
+                x0[:, :K_DIM] = _initial_positions(
+                    chunk.positions[0], bearings[0], chunk.avail[0], radii,
+                    fallback, scenario.init_average,
                 )
+                omegas = np.broadcast_to(INITIAL_INFORMATION,
+                                         (n, STATE_DIM, STATE_DIM))
+                qs = x0 @ INITIAL_INFORMATION.T
+            local_omegas, local_qs = local_information(
+                *_measurement_arrays(chunk.positions, bearings, chunk.avail)
+            )
+            history = np.empty((chunk.size, n, STATE_DIM))
+            for row in range(chunk.size):
+                try:
+                    omegas, qs, history[row] = dkf_step(
+                        omegas, qs, local_omegas[row], local_qs[row], mixing,
+                        prediction,
+                    )
+                except np.linalg.LinAlgError as exc:
+                    raise BaselineFailure(float(chunk.times[row]), str(exc)) from exc
+            finite = np.isfinite(history).all(axis=(1, 2))
+            if not finite.all():
+                raise BaselineFailure(float(chunk.times[np.argmin(finite)]),
+                                      "non-finite estimate")
 
-        psi, y = _measurement_arrays(positions, bearings, avail)
-        pairs, estimates = dkf_step(
-            pairs, list(zip(psi, y)), consensus_iters, g, h, weights
-        )
+            rows = slice(chunk.first, chunk.first + chunk.size)
+            truth = chunk.truth
+            truth_vel = (truth[:, 1] if truth.shape[1] > 1
+                         else np.zeros((chunk.size, K_DIM)))
+            pos_err[rows] = np.linalg.norm(
+                history[..., :K_DIM] - truth[:, None, 0], axis=-1
+            )
+            vel_err[rows] = np.linalg.norm(
+                history[..., K_DIM:] - truth_vel[:, None], axis=-1
+            )
+            bearings_log[rows] = bearings
+            avail_log[rows] = chunk.avail
 
-        truth_pos = truth_now[0]
-        truth_vel = truth_now[1] if truth_now.shape[0] > 1 else np.zeros(K_DIM)
-        t_arr[s] = t
-        pos_err[s] = np.linalg.norm(estimates[:, :K_DIM] - truth_pos[None, :], axis=1)
-        vel_err[s] = np.linalg.norm(estimates[:, K_DIM:] - truth_vel[None, :], axis=1)
-        comm[s] = s * per_step
-        bearings_log[s] = bearings
-        avail_log[s] = avail
-
-    checksum = hashlib.sha256(
-        bearings_log.tobytes() + avail_log.tobytes()
-    ).hexdigest()
+    per_step = dkf_floats_per_step(STATE_DIM, consensus_iters)
     return DkfLog(
-        t=t_arr,
+        t=np.arange(n_rows) * scenario.step,
         pos_errors=pos_err,
         vel_errors=vel_err,
-        comm_floats=comm,
+        comm_floats=np.arange(n_rows) * float(per_step),
         bearings=bearings_log,
         available=avail_log,
-        bearing_checksum=checksum,
+        bearing_checksum=hashlib.sha256(
+            bearings_log.tobytes() + avail_log.tobytes()
+        ).hexdigest(),
     )
-
-
-def dkf_log_to_csv(log: DkfLog) -> str:
-    """CSV with the observer schema's shared columns (errors and comm cost)."""
-    n = log.n_agents
-    cols = ["t"]
-    cols += [f"err_pos_agent{i + 1}" for i in range(n)]
-    cols += [f"err_vel_agent{i + 1}" for i in range(n)]
-    cols += ["comm_floats"]
-    lines = [",".join(cols)]
-    for s in range(log.t.size):
-        row = [f"{log.t[s]:.12g}"]
-        row += [f"{log.pos_errors[s, i]:.12g}" for i in range(n)]
-        row += [f"{log.vel_errors[s, i]:.12g}" for i in range(n)]
-        row.append(f"{log.comm_floats[s]:.12g}")
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"

@@ -476,26 +476,6 @@ def _stream_chunks(scenario: Scenario, rngs, n_samples: int):
             )
 
 
-def measurement_stream(scenario: Scenario, rng, n_samples: int):
-    """Yield (t, positions, truth, bearings, avail, theta, phase) per sample.
-
-    A per-sample view of the stream chunks run() integrates on, for one
-    generator: the baseline filter reads it, so a common seed means a common
-    measurement realization.
-    """
-    for chunk in _stream_chunks(scenario, [rng], n_samples):
-        for row in range(chunk.size):
-            yield (
-                float(chunk.times[row]),
-                chunk.positions[row],
-                chunk.truth[row],
-                chunk.bearings[0, row],
-                chunk.avail[row],
-                chunk.theta[0, row],
-                chunk.phase[0, row],
-            )
-
-
 def _shift_input(u, offset: float):
     return lambda ts: u(ts + offset)
 
@@ -835,19 +815,24 @@ def csv_header(order: int, n_agents: int) -> str:
     return ",".join(cols)
 
 
+def table_to_csv(header: str, table: np.ndarray) -> str:
+    """CSV text of a header line and a 2-D float table, one row per line,
+    every value printed with 12 significant digits."""
+    fmt = ",".join(["%.12g"] * table.shape[1])
+    # Row by row: one tolist() of the whole table holds every value as a
+    # Python float at once, and repeated runs then grow the process RSS.
+    return "\n".join([header] + [fmt % tuple(row.tolist()) for row in table]) + "\n"
+
+
 def runlog_to_csv(log: RunLog) -> str:
     """Render the log as UTF-8 CSV with the documented stable column order."""
-    lines = [csv_header(log.order, log.n_agents)]
-    for s in range(log.t.size):
-        row = [f"{log.t[s]:.12g}"]
-        for m in range(log.order):
-            row += [f"{log.block_errors[s, m, i]:.12g}" for i in range(log.n_agents)]
-        row += [
-            f"{log.v[s]:.12g}",
-            f"{log.v_bound[s]:.12g}",
-            f"{log.lambda_min_spatial[s]:.12g}",
-            f"{log.disagreement[s]:.12g}",
-            f"{log.comm_floats[s]:.12g}",
-        ]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    table = np.column_stack([
+        log.t,
+        log.block_errors.reshape(log.t.size, -1),
+        log.v,
+        log.v_bound,
+        log.lambda_min_spatial,
+        log.disagreement,
+        log.comm_floats,
+    ])
+    return table_to_csv(csv_header(log.order, log.n_agents), table)

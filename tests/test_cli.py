@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from contrack import cli
+from contrack import cli, dkf
 from contrack.cli import main
 from conftest import SCENARIOS_DIR
 
@@ -199,11 +199,13 @@ def _error_lines(err):
     return lines
 
 
-@pytest.mark.parametrize("verb", ["run", "compare", "sweep"])
+@pytest.mark.parametrize("verb", ["certify", "run", "compare", "sweep"])
 def test_agent_on_target_is_a_scenario_error(tmp_path, capsys, verb):
     # Agent 0 sits where the target starts: its bearing is undefined.
     cfg = short_cfg(tmp_path, extra=[("position0 = -10 10 2", "position0 = 0 -15 0")])
-    argv = [verb, "--config", cfg, "--out", str(tmp_path / "c.csv")]
+    argv = [verb, "--config", cfg]
+    if verb != "certify":
+        argv += ["--out", str(tmp_path / "c.csv")]
     if verb == "sweep":
         argv += ["--seeds", "1,2"]
     assert main(argv) == 2
@@ -226,6 +228,20 @@ def test_internal_value_error_is_not_a_scenario_error(tmp_path, monkeypatch, ver
         argv += ["--seeds", "1,2"]
     with pytest.raises(np.linalg.LinAlgError):
         main(argv)
+
+
+def test_baseline_failure_is_one_error_line(tmp_path, monkeypatch, capsys):
+    # No prior information and every agent without a measurement at t = 0:
+    # the baseline's first information matrix is singular.
+    monkeypatch.setattr(dkf, "INITIAL_INFORMATION", np.zeros((6, 6)))
+    lost = "".join(f"\nloss{i} = 0 0.01" for i in range(4))
+    cfg = short_cfg(tmp_path, extra=[("position3 = -10 -10 2",
+                                      "position3 = -10 -10 2" + lost)])
+    assert main(["compare", "--config", cfg, "--out", str(tmp_path / "c.csv")]) == 3
+    lines = _error_lines(capsys.readouterr().err)
+    assert lines == ["error: baseline aborted: insufficient information: singular "
+                     "information matrix at t=0.000000 s"]
+    assert not list(tmp_path.glob("c*.csv"))
 
 
 def test_non_finite_derivative_is_a_divergence(tmp_path, capsys):

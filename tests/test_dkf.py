@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from contrack import dkf
 from contrack.dkf import (
     INITIAL_INFORMATION,
     MEASUREMENT_NOISE,
     PROCESS_NOISE,
-    InformationPair,
+    BaselineFailure,
     dkf_step,
-    extract_estimate,
+    local_information,
     metropolis_weights,
+    mixing_matrix,
+    prediction_terms,
     run_dkf,
     transition_matrix,
 )
@@ -19,22 +22,27 @@ from contrack.sim import run
 from conftest import SQUARE_AGENTS, ring_adjacency, scenario_cv
 
 
-def random_pairs(rng, n):
-    pairs = []
-    for _ in range(n):
-        a = rng.normal(size=(6, 6))
-        pairs.append(InformationPair(omega=a @ a.T + np.eye(6),
-                                     q=rng.normal(size=6)))
-    return pairs
+def random_stacks(rng, n):
+    a = rng.normal(size=(n, 6, 6))
+    return a @ a.transpose(0, 2, 1) + np.eye(6), rng.normal(size=(n, 6))
 
 
-def bearing_pairs(target, positions):
-    meas = []
+def bearing_measurements(target, positions):
+    psi = []
     for p in positions:
         d = target - p
-        psi = projection_matrix(d / np.linalg.norm(d))
-        meas.append((psi, psi @ p))
-    return meas
+        psi.append(projection_matrix(d / np.linalg.norm(d)))
+    psi = np.array(psi)
+    return psi, np.einsum("nij,nj->ni", psi, positions)
+
+
+def no_measurements(n):
+    return np.zeros((n, 3, 3)), np.zeros((n, 3))
+
+
+def step(omegas, qs, measurements, iters, graph, h):
+    return dkf_step(omegas, qs, *local_information(*measurements),
+                    mixing_matrix(graph.adjacency, iters), prediction_terms(h))
 
 
 def test_pinned_baseline_parameters():
@@ -65,12 +73,12 @@ def test_complete_graph_single_iteration_average():
     adjacency = np.ones((n, n)) - np.eye(n)
     graph = build_graph(adjacency)
     rng = np.random.default_rng(1)
-    pairs = random_pairs(rng, n)
-    mean_omega = np.mean([p.omega for p in pairs], axis=0)
-    mean_q = np.mean([p.q for p in pairs], axis=0)
+    omegas, qs = random_stacks(rng, n)
+    mean_omega = omegas.mean(axis=0)
+    mean_q = qs.mean(axis=0)
 
-    meas = [(np.zeros((3, 3)), np.zeros(3))] * n  # no information added
-    new_pairs, estimates = dkf_step(pairs, meas, 1, graph, h=1e-3)
+    # no information added
+    _, _, estimates = step(omegas, qs, no_measurements(n), 1, graph, h=1e-3)
     expected = np.linalg.solve(mean_omega, mean_q)
     for i in range(n):
         assert_allclose(estimates[i], expected, atol=1e-9)
@@ -79,44 +87,65 @@ def test_complete_graph_single_iteration_average():
 def test_consensus_preserves_information_sum():
     graph = build_graph(ring_adjacency(4))
     rng = np.random.default_rng(2)
-    pairs = random_pairs(rng, 4)
-    before = np.sum([p.omega for p in pairs], axis=0)
+    omegas, qs = random_stacks(rng, 4)
+    before = omegas.sum(axis=0)
 
-    meas = [(np.zeros((3, 3)), np.zeros(3))] * 4
-    new_pairs, _ = dkf_step(pairs, meas, 1, graph, h=1e-3)
-    # Prediction reshapes each pair, so check the sum at the consensus stage
-    # by re-running the averaging directly.
+    step(omegas, qs, no_measurements(4), 1, graph, h=1e-3)
+    # Prediction reshapes each stack entry, so check the sum at the consensus
+    # stage by re-running the averaging directly.
     w = metropolis_weights(graph.adjacency)
-    omegas = np.array([p.omega for p in pairs])
     averaged = np.einsum("ij,jkl->ikl", w, omegas)
     assert np.max(np.abs(averaged.sum(axis=0) - before)) <= 1e-9
 
 
 def test_omega_stays_symmetric_psd():
     graph = build_graph(ring_adjacency(4))
-    pairs = [InformationPair(omega=np.eye(6), q=np.zeros(6)) for _ in range(4)]
+    omegas, qs = np.tile(np.eye(6), (4, 1, 1)), np.zeros((4, 6))
     target = np.array([0.0, -15.0, 0.0])
-    meas = bearing_pairs(target, SQUARE_AGENTS)
+    meas = bearing_measurements(target, SQUARE_AGENTS)
     for _ in range(50):
-        pairs, _ = dkf_step(pairs, meas, 2, graph, h=1e-3)
-    for p in pairs:
-        assert np.max(np.abs(p.omega - p.omega.T)) <= 1e-12
-        assert sym_eigen(p.omega).values[0] > -1e-10
+        omegas, qs, _ = step(omegas, qs, meas, 2, graph, h=1e-3)
+    for omega in omegas:
+        assert np.max(np.abs(omega - omega.T)) <= 1e-12
+        assert sym_eigen(omega).values[0] > -1e-10
 
 
 def test_dkf_step_validation():
     graph = build_graph(ring_adjacency(4))
-    pairs = [InformationPair(omega=np.eye(6), q=np.zeros(6)) for _ in range(4)]
-    meas = [(np.zeros((3, 3)), np.zeros(3))] * 4
+    omegas, qs = np.tile(np.eye(6), (4, 1, 1)), np.zeros((4, 6))
+    meas = no_measurements(4)
     with pytest.raises(ValueError):
-        dkf_step(pairs, meas, 0, graph, h=1e-3)
+        step(omegas, qs, meas, 0, graph, h=1e-3)
     with pytest.raises(ValueError):
-        dkf_step(pairs[:3], meas, 1, graph, h=1e-3)
+        step(omegas[:3], qs[:3], meas, 1, graph, h=1e-3)
 
 
 def test_singular_information_extraction():
+    graph = build_graph(ring_adjacency(4))
     with pytest.raises(ValueError, match="insufficient information"):
-        extract_estimate(InformationPair(omega=np.zeros((6, 6)), q=np.ones(6)))
+        step(np.zeros((4, 6, 6)), np.ones((4, 6)), no_measurements(4), 1, graph,
+             h=1e-3)
+
+
+def test_baseline_failure_carries_the_time(monkeypatch):
+    # No prior information and every agent without a measurement at t = 0:
+    # the first information matrix is singular.
+    monkeypatch.setattr(dkf, "INITIAL_INFORMATION", np.zeros((6, 6)))
+    s = scenario_cv(duration=0.05, loss_schedule=(((0.0, 0.01),),) * 4)
+    with pytest.raises(BaselineFailure, match="insufficient information") as err:
+        run_dkf(s)
+    assert err.value.time == 0.0
+    assert str(err.value).endswith("at t=0.000000 s")
+
+
+def test_non_finite_estimate_is_a_baseline_failure(monkeypatch):
+    # R^-1 = 1e308 I: the information vectors overflow at the first sample
+    # with a measurement, and the estimates there are not finite.
+    monkeypatch.setattr(dkf, "MEASUREMENT_NOISE", 1e-308 * np.eye(3))
+    s = scenario_cv(duration=0.05, loss_schedule=(((0.0, 0.002),),) * 4)
+    with pytest.raises(BaselineFailure, match="non-finite estimate") as err:
+        run_dkf(s)
+    assert err.value.time == pytest.approx(0.002)
 
 
 def test_noiseless_static_target_convergence_regression():

@@ -1,7 +1,8 @@
 """Vectorised fast paths against slow references that share no code with them.
 
 Each reference is written out here from its definition: a double loop for the
-Metropolis weights, a per-agent solve/inv filter cycle, the dense (m w)^2
+Metropolis weights, a per-agent solve/inv filter cycle (one step, and a whole
+baseline run replayed from the observer run's bearings), the dense (m w)^2
 transformation matrix for the Lyapunov value, per-sample AgentPath.position
 calls and loss intervals for the sampled stream, a dense block-diagonal stack
 for the consensus-gain bound, the Sturm-bisection oracle for the excitation
@@ -9,6 +10,7 @@ series, the per-agent observer operations for the network derivative, and
 separate single-seed runs for a seed-batched run.
 """
 
+import math
 import os
 from dataclasses import replace
 
@@ -24,9 +26,12 @@ from contrack.config import emit_config
 from contrack.dkf import (
     MEASUREMENT_NOISE,
     PROCESS_NOISE,
-    InformationPair,
     dkf_step,
+    local_information,
     metropolis_weights,
+    mixing_matrix,
+    prediction_terms,
+    run_dkf,
 )
 from contrack.gains import ObserverGains, build_transformation, consensus_alpha_bound
 from contrack.graph import build_graph
@@ -107,13 +112,15 @@ def reference_dkf_step(pairs, measurements, iters, adjacency, h):
 def test_batched_dkf_step_matches_per_agent_reference(seed, n, iters):
     rng = np.random.default_rng(seed)
     adjacency = random_weighted_adjacency(rng, n, 0.4)
-    graph = build_graph(adjacency)
     h = rng.uniform(1e-3, 0.1)
     ref = []
     for _ in range(n):
         a = rng.normal(size=(6, 6))
         ref.append((a @ a.T + np.eye(6), rng.normal(size=6)))
-    pairs = [InformationPair(omega=o, q=q) for o, q in ref]
+    omegas = np.array([o for o, _ in ref])
+    qs = np.array([q for _, q in ref])
+    mixing = mixing_matrix(adjacency, iters)
+    prediction = prediction_terms(h)
     target = rng.normal(scale=5.0, size=3)
     for _ in range(3):
         meas = []
@@ -125,26 +132,81 @@ def test_batched_dkf_step_matches_per_agent_reference(seed, n, iters):
             b = (target - p) / np.linalg.norm(target - p)
             psi = np.eye(3) - np.outer(b, b)
             meas.append((psi, psi @ p))
-        pairs, estimates = dkf_step(pairs, meas, iters, graph, h)
+        local = local_information(np.array([psi for psi, _ in meas]),
+                                  np.array([y for _, y in meas]))
+        omegas, qs, estimates = dkf_step(omegas, qs, *local, mixing, prediction)
         ref, ref_estimates = reference_dkf_step(ref, meas, iters, adjacency, h)
         assert_allclose(estimates, ref_estimates, rtol=1e-9, atol=1e-9)
-        for pair, (omega, q) in zip(pairs, ref):
-            assert_allclose(pair.omega, omega, rtol=1e-9, atol=1e-9)
-            assert_allclose(pair.q, q, rtol=1e-9, atol=1e-9)
+        for omega, q, (ref_omega, ref_q) in zip(omegas, qs, ref):
+            assert_allclose(omega, ref_omega, rtol=1e-9, atol=1e-9)
+            assert_allclose(q, ref_q, rtol=1e-9, atol=1e-9)
 
 
-def test_dkf_step_weights_argument_matches_rebuilt_weights():
-    graph = build_graph(ring_adjacency(5))
-    rng = np.random.default_rng(3)
-    pairs = []
-    for _ in range(5):
-        a = rng.normal(size=(6, 6))
-        pairs.append(InformationPair(omega=a @ a.T + np.eye(6), q=rng.normal(size=6)))
-    meas = [(np.zeros((3, 3)), np.zeros(3))] * 5
-    _, rebuilt = dkf_step(pairs, meas, 2, graph, 1e-3)
-    _, passed = dkf_step(pairs, meas, 2, graph, 1e-3,
-                         metropolis_weights(graph.adjacency))
-    assert np.array_equal(rebuilt, passed)
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 10_000), st.integers(2, 14), st.integers(1, 4))
+def test_mixing_matrix_matches_repeated_metropolis_rounds(seed, n, iters):
+    rng = np.random.default_rng(seed)
+    a = random_weighted_adjacency(rng, n, 0.4)
+    stack = rng.normal(size=(n, 6, 6))
+    want = stack
+    for _ in range(iters):
+        want = np.einsum("ij,jkl->ikl", naive_metropolis(a), want)
+    got = np.einsum("ij,jkl->ikl", mixing_matrix(a, iters), stack)
+    assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(stack).max())
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.sampled_from([0.0, 0.5]),
+       st.booleans(), st.booleans(), st.booleans(), st.integers(5, 300))
+def test_run_dkf_matches_per_agent_reference_run(seed, iters, noise, lossy, moving,
+                                                 average, chunk):
+    # The reference replays the observer run's bearings and loss mask with
+    # AgentPath.position, its own initial draws and reference_dkf_step, and
+    # evaluates the truth from the chain's polynomial flow.
+    rng = np.random.default_rng(seed)
+    s = replace(batch_scenario(rng, 2, noise, lossy, moving), init_average=average)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "STREAM_CHUNK", chunk)
+        obs = run(s)
+        log = run_dkf(s, consensus_iters=iters)
+    assert log.bearing_checksum == obs.bearing_checksum
+
+    n = len(s.agent_paths)
+    draws = np.random.default_rng(s.seed)
+    radii = draws.uniform(*s.init_range, size=n)
+    fallback = draws.normal(size=(n, 3))
+    fallback /= np.linalg.norm(fallback, axis=1)[:, None]
+    blocks = s.target_blocks
+    ref = None
+    for row, t in enumerate(log.t):
+        positions = np.array([path.position(t) for path in s.agent_paths])
+        meas = []
+        for i in range(n):
+            if not obs.available[row, i]:
+                meas.append((np.zeros((3, 3)), np.zeros(3)))
+                continue
+            b = obs.bearings[row, i]
+            psi = np.eye(3) - np.outer(b, b)
+            meas.append((psi, psi @ positions[i]))
+        if ref is None:
+            starts = [positions[i] + radii[i] * (obs.bearings[0, i]
+                                                 if obs.available[0, i]
+                                                 else fallback[i])
+                      for i in range(n)]
+            if average:
+                starts = [np.mean(starts, axis=0)] * n
+            ref = [(np.eye(6), np.concatenate([p, np.zeros(3)])) for p in starts]
+        ref, estimates = reference_dkf_step(ref, meas, iters, s.adjacency, s.step)
+        truth_pos = sum(blocks[r] * t ** r / math.factorial(r)
+                        for r in range(len(blocks)))
+        truth_vel = sum(blocks[r] * t ** (r - 1) / math.factorial(r - 1)
+                        for r in range(1, len(blocks))) + np.zeros(3)
+        assert_allclose(log.pos_errors[row],
+                        np.linalg.norm(estimates[:, :3] - truth_pos, axis=1),
+                        rtol=1e-9, atol=1e-12)
+        assert_allclose(log.vel_errors[row],
+                        np.linalg.norm(estimates[:, 3:] - truth_vel, axis=1),
+                        rtol=1e-9, atol=1e-12)
 
 
 @settings(deadline=None, max_examples=12)
@@ -244,10 +306,13 @@ def test_chunked_stream_matches_per_sample_reference(seed, chunk, n_samples):
     draws = np.random.default_rng(seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "STREAM_CHUNK", chunk)
-        stream = sim.measurement_stream(s, np.random.default_rng(seed), n_samples)
-        samples = list(stream)
+        chunks = list(sim._stream_chunks(s, [np.random.default_rng(seed)], n_samples))
+    samples = [(float(c.times[row]), c.positions[row], c.avail[row], c.theta[0, row],
+                c.phase[0, row]) for c in chunks for row in range(c.size)]
+    starts = np.cumsum([0] + [c.size for c in chunks])[:-1]
+    assert [c.first for c in chunks] == starts.tolist()
     assert len(samples) == n_samples
-    for k, (t, positions, _truth, _b, avail, theta, phase) in enumerate(samples):
+    for k, (t, positions, avail, theta, phase) in enumerate(samples):
         assert t == k * h
         for i, path in enumerate(paths):
             assert_allclose(positions[i], path.position(t), rtol=0.0, atol=1e-12)
@@ -589,3 +654,12 @@ def test_max_pairwise_distance_matches_double_loop(seed, n):
             want[s, c] = max(np.linalg.norm(points[s, c, i] - points[s, c, j])
                              for i in range(n) for j in range(n))
     assert_allclose(sim._max_pairwise_distance(points), want, rtol=1e-12)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(st.lists(st.floats(allow_nan=True, allow_infinity=True),
+                         min_size=3, max_size=3), min_size=1, max_size=20))
+def test_csv_table_matches_per_cell_formatting(rows):
+    table = np.array(rows)
+    want = "h\n" + "".join(",".join(f"{x:.12g}" for x in row) + "\n" for row in rows)
+    assert sim.table_to_csv("h", table) == want

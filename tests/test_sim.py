@@ -318,6 +318,23 @@ def test_csv_schema_and_row_count():
     assert second[-1] == 3.0
 
 
+def test_csv_columns_hold_the_named_log_fields():
+    log = run(scenario_cv(duration=0.01))
+    lines = runlog_to_csv(log).strip().split("\n")
+    header = lines[0].split(",")
+    rows = np.array([[float(tok) for tok in line.split(",")] for line in lines[1:]])
+    want = {"t": log.t, "V": log.v, "V_bound": log.v_bound,
+            "lambda_min_spatial": log.lambda_min_spatial,
+            "disagreement": log.disagreement, "comm_floats": log.comm_floats}
+    for m, block in enumerate(("pos", "vel")):
+        for i in range(log.n_agents):
+            want[f"err_{block}_agent{i + 1}"] = log.block_errors[:, m, i]
+    assert sorted(want) == sorted(header)
+    for name, values in want.items():
+        assert_allclose(rows[:, header.index(name)], values, rtol=1e-11, atol=0.0,
+                        err_msg=name)
+
+
 def test_agent_path_interpolation():
     path = AgentPath(times=np.array([0.0, 1.0, 3.0]),
                      points=np.array([[0.0, 0.0, 0.0],
