@@ -14,9 +14,13 @@ Sections and keys (units in brackets):
   [sim]      step [s], duration [s], seed, optional init_range [m m],
              optional init_average (true/false)
   [output]   optional csv path
+
+Every number must be finite; only a loss interval may end at inf.
 """
 
+import bisect
 import configparser
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,18 +73,30 @@ def parse_config(path: str) -> LoadedConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error: {exc}") from exc
 
+    # Every number read, and the (end, key) of each key's run of them, are
+    # checked for finiteness at once, before the scenario is built; the edge
+    # weights and loss intervals are checked where they are read.
+    read, keys = [], []
+
+    def numbers(text, what, count=None):
+        values = _floats(text, what, count)
+        read.extend(values)
+        keys.append((len(read), what))
+        return values
+
+    def number(section, key):
+        return numbers(_get(cp, section, key), f"[{section}] {key}", 1)[0]
+
     order = _int(_get(cp, "target", "order"), "[target] order")
     if order < 1:
         raise ConfigError("[target] order must be at least 1")
     blocks = [
-        _floats(_get(cp, "target", _block_key(m)), f"[target] {_block_key(m)}", 3)
+        numbers(_get(cp, "target", _block_key(m)), f"[target] {_block_key(m)}", 3)
         for m in range(order)
     ]
     target_input = None
     if cp.has_option("target", "input"):
-        target_input = np.array(
-            _floats(cp.get("target", "input"), "[target] input", 3)
-        )
+        target_input = np.array(numbers(cp.get("target", "input"), "[target] input", 3))
 
     count = _int(_get(cp, "agents", "count"), "[agents] count")
     if count < 2:
@@ -91,58 +107,64 @@ def parse_config(path: str) -> LoadedConfig:
         wp_key = f"waypoints{i}"
         if cp.has_option("agents", wp_key):
             rows = _split_groups(cp.get("agents", wp_key))
-            knots = [_floats(r, f"[agents] {wp_key}", 4) for r in rows]
-            times = [kn[0] for kn in knots]
-            points = [kn[1:] for kn in knots]
-            paths.append(AgentPath(times=np.array(times), points=np.array(points)))
+            if not rows:
+                raise ConfigError(f"[agents] {wp_key}: no waypoints")
+            knots = np.array([_floats(r, f"[agents] {wp_key}", 4) for r in rows])
+            read.extend(knots.ravel().tolist())
+            keys.append((len(read), f"[agents] {wp_key}"))
+            paths.append(AgentPath(times=knots[:, 0], points=knots[:, 1:]))
         else:
-            pos = _floats(_get(cp, "agents", f"position{i}"), f"[agents] position{i}", 3)
+            pos = numbers(_get(cp, "agents", f"position{i}"), f"[agents] position{i}", 3)
             paths.append(AgentPath.static(pos))
         intervals = ()
         if cp.has_option("agents", f"loss{i}"):
             rows = _split_groups(cp.get("agents", f"loss{i}"))
             parsed = [_floats(r, f"[agents] loss{i}", 2) for r in rows]
             for start, end in parsed:
-                if end <= start:
-                    raise ConfigError(
-                        f"[agents] loss{i}: interval end must exceed start"
-                    )
+                if not (math.isfinite(start) and end > start):
+                    raise ConfigError(f"[agents] loss{i}: interval end must exceed "
+                                      "start, and start must be finite")
             intervals = tuple((p[0], p[1]) for p in parsed)
         loss.append(intervals)
 
     adjacency = np.zeros((count, count))
     for row in _split_groups(_get(cp, "graph", "edges")):
         i_f, j_f, w = _floats(row, "[graph] edges", 3)
-        i, j = int(i_f), int(j_f)
-        if i_f != i or j_f != j:
+        if not (i_f.is_integer() and j_f.is_integer()):
             raise ConfigError(f"[graph] edges: vertex ids must be integers in {row!r}")
+        i, j = int(i_f), int(j_f)
         if not (0 <= i < count and 0 <= j < count):
             raise ConfigError(f"[graph] edges: vertex out of range in {row!r}")
         if i == j:
             raise ConfigError(f"[graph] edges: self-edge not allowed in {row!r}")
         adjacency[i, j] = adjacency[j, i] = w
+    if not np.isfinite(adjacency).all():
+        raise ConfigError("[graph] edges: values must be finite")
 
-    k = _floats(_get(cp, "gains", "k"), "[gains] k")
+    k = numbers(_get(cp, "gains", "k"), "[gains] k")
     gains = _build_gains(
-        k,
-        _float(_get(cp, "gains", "alpha"), "[gains] alpha"),
-        _float(_get(cp, "gains", "delta"), "[gains] delta"),
-        _float(_get(cp, "gains", "gamma"), "[gains] gamma"),
+        k, number("gains", "alpha"), number("gains", "delta"), number("gains", "gamma")
     )
 
-    noise = _float(_get(cp, "noise", "bearing_std_deg"), "[noise] bearing_std_deg")
-    step = _float(_get(cp, "sim", "step"), "[sim] step")
-    duration = _float(_get(cp, "sim", "duration"), "[sim] duration")
+    noise = number("noise", "bearing_std_deg")
+    step = number("sim", "step")
+    duration = number("sim", "duration")
     seed = _int(_get(cp, "sim", "seed"), "[sim] seed")
     init_range = (5.0, 30.0)
     if cp.has_option("sim", "init_range"):
-        lo, hi = _floats(cp.get("sim", "init_range"), "[sim] init_range", 2)
+        lo, hi = numbers(cp.get("sim", "init_range"), "[sim] init_range", 2)
         init_range = (lo, hi)
     init_average = False
     if cp.has_option("sim", "init_average"):
         init_average = _bool(cp.get("sim", "init_average"), "[sim] init_average")
 
     out_csv = cp.get("output", "csv") if cp.has_option("output", "csv") else None
+
+    bad = ~np.isfinite(np.array(read))
+    if bad.any():
+        first = int(np.argmax(bad))
+        what = keys[bisect.bisect_right(keys, first, key=lambda mark: mark[0])][1]
+        raise ConfigError(f"{what}: values must be finite")
 
     try:
         scenario = Scenario(
@@ -243,13 +265,6 @@ def _int(text: str, what: str) -> int:
         return int(text)
     except ValueError as exc:
         raise ConfigError(f"{what}: cannot parse {text!r} as an integer") from exc
-
-
-def _float(text: str, what: str) -> float:
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ConfigError(f"{what}: cannot parse {text!r} as a number") from exc
 
 
 def _bool(text: str, what: str) -> bool:

@@ -15,11 +15,14 @@ form of (F Omega^-1 F^T + Q)^-1,
     Omega' = Q^-1 - Q^-1 F (Omega + F^T Q^-1 F)^-1 F^T Q^-1,
 
 for a general process noise Q, with Q^-1, Q^-1 F and F^T Q^-1 F built once
-per run; Omega + F^T Q^-1 F is positive definite whenever Omega is positive
-semidefinite, so only the estimate solve can meet a singular matrix. A run
-reads the measurement stream the observer run() integrates on, chunk by
-chunk: the local information of every sample in a chunk is built at once,
-and the errors are computed from the chunk's estimate history.
+per run. By the push-through identity q' = Omega' F Omega^-1 q equals
+Q^-1 F (Omega + F^T Q^-1 F)^-1 q, so q is a seventh right-hand-side column
+of the prediction's one solve. Omega + F^T Q^-1 F is positive definite
+whenever Omega is positive semidefinite, so only the estimate solve
+x = Omega^-1 q can meet a singular matrix; a run makes it once per chunk of
+the measurement stream the observer run() integrates on, over the chunk's
+post-consensus stacks, after building the local information of every sample
+in the chunk at once.
 """
 
 import hashlib
@@ -83,11 +86,11 @@ def transition_matrix(h: float) -> np.ndarray:
 
 
 def prediction_terms(h: float):
-    """(F, Q^-1, Q^-1 F, F^T Q^-1 F) of the Woodbury prediction at step h."""
+    """(Q^-1, Q^-1 F, F^T Q^-1 F) of the Woodbury prediction at step h."""
     f = transition_matrix(h)
     q_inv = np.linalg.inv(PROCESS_NOISE)
     q_inv_f = q_inv @ f
-    return f, q_inv, q_inv_f, f.T @ q_inv_f
+    return q_inv, q_inv_f, f.T @ q_inv_f
 
 
 def local_information(psi, y):
@@ -110,29 +113,34 @@ def dkf_step(omegas, qs, local_omegas, local_qs, mixing, prediction):
     local_omegas and local_qs the agents' measurement information (see
     local_information), mixing the consensus matrix W^k (see mixing_matrix)
     and prediction the terms of prediction_terms. Returns the predicted
-    stacks and the post-consensus state estimates (n, 6). A singular
-    information matrix raises LinAlgError.
+    stacks and the post-consensus stacks (see state_estimates).
     """
     n = len(omegas)
     if (local_omegas.shape != omegas.shape or local_qs.shape != qs.shape
             or mixing.shape != (n, n)):
         raise ValueError("information stacks, measurements and mixing matrix "
                          "must cover every agent")
-    f, q_inv, q_inv_f, ft_q_inv_f = prediction
+    q_inv, q_inv_f, ft_q_inv_f = prediction
     omegas = (mixing @ (omegas + local_omegas).reshape(n, -1)).reshape(omegas.shape)
     qs = mixing @ (qs + local_qs)
+    rhs = np.empty(qs.shape + (STATE_DIM + 1,))
+    rhs[..., :STATE_DIM] = q_inv_f.T
+    rhs[..., STATE_DIM] = qs
+    pushed = q_inv_f @ np.linalg.solve(omegas + ft_q_inv_f, rhs)
+    omega_next = q_inv - pushed[..., :STATE_DIM]
+    omega_next = 0.5 * (omega_next + omega_next.transpose(0, 2, 1))
+    return omega_next, pushed[..., STATE_DIM], omegas, qs
+
+
+def state_estimates(omegas, qs):
+    """x = Omega^-1 q of information stacks (..., 6, 6) and (..., 6), in one
+    batched solve. A singular information matrix raises LinAlgError."""
     try:
-        estimates = np.linalg.solve(omegas, qs[..., None])[..., 0]
+        return np.linalg.solve(omegas, qs[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             "insufficient information: singular information matrix"
         ) from exc
-    gain = np.linalg.solve(omegas + ft_q_inv_f,
-                           np.broadcast_to(q_inv_f.T, omegas.shape))
-    omega_next = q_inv - q_inv_f @ gain
-    omega_next = 0.5 * (omega_next + omega_next.transpose(0, 2, 1))
-    q_next = (omega_next @ (estimates @ f.T)[..., None])[..., 0]
-    return omega_next, q_next, estimates
 
 
 @dataclass(frozen=True)
@@ -191,15 +199,22 @@ def run_dkf(scenario: Scenario, consensus_iters: int = 2) -> DkfLog:
             local_omegas, local_qs = local_information(
                 *_measurement_arrays(chunk.positions, bearings, chunk.avail)
             )
-            history = np.empty((chunk.size, n, STATE_DIM))
+            post_omegas = np.empty((chunk.size, n, STATE_DIM, STATE_DIM))
+            post_qs = np.empty((chunk.size, n, STATE_DIM))
             for row in range(chunk.size):
-                try:
-                    omegas, qs, history[row] = dkf_step(
-                        omegas, qs, local_omegas[row], local_qs[row], mixing,
-                        prediction,
-                    )
-                except np.linalg.LinAlgError as exc:
-                    raise BaselineFailure(float(chunk.times[row]), str(exc)) from exc
+                omegas, qs, post_omegas[row], post_qs[row] = dkf_step(
+                    omegas, qs, local_omegas[row], local_qs[row], mixing, prediction,
+                )
+            try:
+                history = state_estimates(post_omegas, post_qs)
+            except np.linalg.LinAlgError as exc:
+                # The first sample whose solve fails on its own names the time.
+                for row in range(chunk.size):
+                    try:
+                        state_estimates(post_omegas[row], post_qs[row])
+                    except np.linalg.LinAlgError:
+                        raise BaselineFailure(float(chunk.times[row]), str(exc)) from exc
+                raise
             finite = np.isfinite(history).all(axis=(1, 2))
             if not finite.all():
                 raise BaselineFailure(float(chunk.times[np.argmin(finite)]),

@@ -102,19 +102,22 @@ def projection_matrix(bearing) -> np.ndarray:
 
 
 def rk4_step(f, t: float, state, h: float) -> np.ndarray:
-    """One classical fourth-order Runge-Kutta step of size h for dx/dt = f(t, x)."""
+    """One classical fourth-order Runge-Kutta step of size h for dx/dt = f(t, x).
+
+    Only a non-finite result has its stages scanned: NonFiniteDerivative
+    carries the time (t, t + h/2, t + h/2 or t + h) of the first non-finite
+    stage; finite stages whose sum overflows give the overflowed result.
+    """
     if h <= 0.0:
         raise ValueError("step size must be positive")
     state = np.asarray(state, dtype=float)
-
-    def eval_stage(ts, xs):
-        d = np.asarray(f(ts, xs), dtype=float)
-        if not np.isfinite(d).all():
-            raise NonFiniteDerivative(ts)
-        return d
-
-    k1 = eval_stage(t, state)
-    k2 = eval_stage(t + 0.5 * h, state + 0.5 * h * k1)
-    k3 = eval_stage(t + 0.5 * h, state + 0.5 * h * k2)
-    k4 = eval_stage(t + h, state + h * k3)
-    return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k1 = np.asarray(f(t, state), dtype=float)
+    k2 = np.asarray(f(t + 0.5 * h, state + 0.5 * h * k1), dtype=float)
+    k3 = np.asarray(f(t + 0.5 * h, state + 0.5 * h * k2), dtype=float)
+    k4 = np.asarray(f(t + h, state + h * k3), dtype=float)
+    out = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.isfinite(out).all():
+        for ts, k in ((t, k1), (t + 0.5 * h, k2), (t + 0.5 * h, k3), (t + h, k4)):
+            if not np.isfinite(k).all():
+                raise NonFiniteDerivative(ts)
+    return out

@@ -14,8 +14,8 @@ works chunk by chunk, on blocks of consecutive samples, in three stages:
   stream     the truth, agent positions, loss mask and true bearings at the
              sample times, shared by every seed, plus each seed's noise draws
              and measured bearings;
-  integrate  one RK4 step per sample over the (S, n, m, K_DIM) estimate
-             block of all S seeds together;
+  integrate  one RK4 step per sample over the level-major (m, n, S, K_DIM)
+             estimate block of all S seeds together;
   monitor    errors, V, the excitation eigenvalue and the disagreement,
              computed once per chunk from the chunk's estimate history.
 
@@ -482,7 +482,7 @@ def _shift_input(u, offset: float):
 
 def _stage_bearings(scenario: Scenario, chunk: _Chunk, count: int, seeds):
     """Measured bearings at the four RK4 stages of the chunk's first count
-    steps for the given seed indices, shape (count, 4, len(seeds), n, K_DIM).
+    steps for the given seed indices, shape (count, 4, n, len(seeds), K_DIM).
 
     The stage truth restarts the target's chain from the sampled truth at
     each step: x, x + h/2 k1, x + h/2 k2, x + h k3 with k the chain
@@ -511,12 +511,12 @@ def _stage_bearings(scenario: Scenario, chunk: _Chunk, count: int, seeds):
     b_stages = _true_bearings(stage_truth, chunk.positions[:count, None], stage_times)
     n = chunk.positions.shape[1]
     if chunk.axes is None:
-        return np.broadcast_to(b_stages[:, :, None], (count, 4, len(seeds), n, K_DIM))
+        return np.broadcast_to(b_stages[:, :, :, None], (count, 4, n, len(seeds), K_DIM))
     theta = chunk.theta[seeds, :count].ravel()
     rotations = _rotation_matrices(
         chunk.axes[seeds, :count].reshape(-1, K_DIM), np.cos(theta), np.sin(theta)
     ).reshape(len(seeds), count, n, K_DIM, K_DIM)
-    return np.einsum("scnij,cknj->cksni", rotations, b_stages)
+    return np.einsum("scnij,cknj->cknsi", rotations, b_stages)
 
 
 def _measurement_arrays(positions, bearings, avail):
@@ -529,39 +529,38 @@ def _measurement_arrays(positions, bearings, avail):
 
 
 def _network_derivative(est, psi, y, alpha_laplacian, k_col):
-    """Time derivative of the (S, n, m, K_DIM) estimate block.
+    """Time derivative of the level-major (m, n, S, K_DIM) estimate block.
 
-    One batched projection: the innovation y - psi x0 with the observation
-    matrices psi (S, n, K_DIM, K_DIM) and y = psi p, minus the consensus term
-    alpha L x0; scaled by each level's gain (k_col, (m, 1)) and added to the
-    chain shift.
+    Only level 0 takes the correction: the innovation y - psi x0 (psi
+    (n, S, K_DIM, K_DIM), y = psi p) minus alpha L x0, one (n, n) by
+    (n, S K_DIM) product; scaled by each level's gain (k_col, (m, 1, 1, 1))
+    and added to the chain shift.
     """
-    x0 = est[..., 0, :]
+    x0 = est[0]
     delta = y - (psi @ x0[..., None])[..., 0]
-    delta -= alpha_laplacian @ x0
-    d = k_col * delta[..., None, :]
-    d[..., :-1, :] += est[..., 1:, :]
+    delta -= (alpha_laplacian @ x0.reshape(len(x0), -1)).reshape(x0.shape)
+    d = k_col * delta
+    d[:-1] += est[1:]
     return d
 
 
 def _max_pairwise_distance(points):
-    """Largest distance between two of the n points, over leading axes.
-
-    Each pass pairs a block of 16 points with every point from the first of
-    them on, which covers every pair once.
-    """
-    block = 16
-    worst = np.zeros(points.shape[:-2])
-    for j in range(0, points.shape[-2], block):
-        diff = points[..., j:, None, :] - points[..., None, j:j + block, :]
-        sq = np.einsum("...ijk,...ijk->...ij", diff, diff)
-        worst = np.maximum(worst, sq.max(axis=(-2, -1)))
-    return np.sqrt(worst)
+    """Largest distance between two of the n points (..., n, K_DIM), over
+    leading axes, from the centred Gram form |c_i|^2 + |c_j|^2 - 2 c_i.c_j
+    (centring keeps the rounding relative to that distance)."""
+    c = points - points.mean(axis=-2, keepdims=True)
+    sq = np.einsum("...ik,...ik->...i", c, c)
+    d2 = c @ c.swapaxes(-1, -2)
+    d2 *= -2.0
+    d2 += sq[..., :, None]
+    d2 += sq[..., None, :]
+    return np.sqrt(np.maximum(d2.max(axis=(-2, -1)), 0.0))
 
 
 def _advance(est, t, h, psi, y, alpha_laplacian, k_col):
-    """One RK4 step of every seed's estimates, given the observation pairs at
-    the step's four stages: psi (4, S, n, K_DIM, K_DIM) and y (4, S, n, K_DIM).
+    """One RK4 step of every seed's estimates (m, n, S, K_DIM), given the
+    observation pairs at the step's four stages: psi (4, n, S, K_DIM, K_DIM)
+    and y (4, n, S, K_DIM).
 
     Returns the advanced block and None, or, when a derivative turned
     non-finite, the block and each seed's failure time (inf for the seeds
@@ -580,37 +579,40 @@ def _advance(est, t, h, psi, y, alpha_laplacian, k_col):
             h,
         )
 
+    seeds = est.shape[2]
     try:
         return step(est, psi, y), None
     except NonFiniteDerivative as exc:
-        if len(est) == 1:
+        if seeds == 1:
             return est, np.array([exc.time])
-    out, failed = est.copy(), np.full(len(est), np.inf)
-    for i in range(len(est)):
+    out, failed = est.copy(), np.full(seeds, np.inf)
+    for i in range(seeds):
+        one = slice(i, i + 1)
         try:
-            out[i] = step(est[i:i + 1], psi[:, i:i + 1], y[:, i:i + 1])[0]
+            out[:, :, i] = step(est[:, :, one], psi[:, :, one], y[:, :, one])[:, :, 0]
         except NonFiniteDerivative as exc:
             failed[i] = exc.time
     return out, failed
 
 
 def _integrate(est, chunk: _Chunk, count: int, stages, h, alpha_laplacian, k_col):
-    """Advance the estimate block over the chunk's first count steps, given
-    their stage bearings (count, 4, S, n, K_DIM).
+    """Advance the (m, n, S, K_DIM) estimate block over the chunk's first
+    count steps, given their stage bearings (count, 4, n, S, K_DIM).
 
     Returns the block of the seeds still running, their estimate history at
-    the chunk's sample times (S', C, n, m, K_DIM), and each entering seed's
+    the chunk's sample times (C, m, n, S', K_DIM), and each entering seed's
     divergence time (inf for the seeds still running). A seed diverges when
     an estimate passes DIVERGENCE_LIMIT or a derivative turns non-finite.
     """
     psi, y = _measurement_arrays(
-        chunk.positions[:count, None, None], stages, chunk.avail[:count, None, None]
+        chunk.positions[:count, None, :, None], stages,
+        chunk.avail[:count, None, :, None],
     )
-    history = np.empty((len(est), chunk.size) + est.shape[1:])
-    diverged = np.full(len(est), np.inf)
-    alive = np.arange(len(est))
+    history = np.empty((chunk.size,) + est.shape)
+    diverged = np.full(est.shape[2], np.inf)
+    alive = np.arange(est.shape[2])
     for row in range(chunk.size):
-        history[:, row] = est
+        history[row] = est
         if row == count:
             break
         t = float(chunk.times[row])
@@ -618,30 +620,32 @@ def _integrate(est, chunk: _Chunk, count: int, stages, h, alpha_laplacian, k_col
         if failed is None and not np.abs(est).max() > constants.DIVERGENCE_LIMIT:
             continue
         if failed is None:
-            failed = np.full(len(est), np.inf)
-        peak = np.max(np.abs(est), axis=(1, 2, 3))
+            failed = np.full(est.shape[2], np.inf)
+        peak = np.max(np.abs(est), axis=(0, 1, 3))
         failed[np.isinf(failed) & (peak > constants.DIVERGENCE_LIMIT)] = t + h
         keep = np.isinf(failed)
         diverged[alive[~keep]] = failed[~keep]
         alive = alive[keep]
-        est, history = est[keep], history[keep]
-        psi, y = psi[:, :, keep], y[:, :, keep]
+        est, history = est[:, :, keep], history[:, :, :, keep]
+        psi, y = psi[:, :, :, keep], y[:, :, :, keep]
         if alive.size == 0:
             break
     return est, history, diverged
 
 
 def _monitors(history, truth, bearings, avail, kernel):
-    """Monitors of one chunk from its estimate history (S, C, n, m, K_DIM),
-    which becomes the error history: block error norms (S, C, m, n), V (S, C),
-    the spatial-excitation eigenvalue (S, C) and the consensus disagreement
-    (S, C)."""
-    seeds, size, n, m, _ = history.shape
+    """Monitors of one chunk from its estimate history (C, m, n, S, K_DIM):
+    block error norms (S, C, m, n), V (S, C), the spatial-excitation
+    eigenvalue (S, C) and the consensus disagreement (S, C)."""
+    size, m, n, _, _ = history.shape
     truth_obs = np.zeros((size, m, K_DIM))
     upto = min(m, truth.shape[1])
     truth_obs[:, :upto] = truth[:, :upto]
-    disagreement = _max_pairwise_distance(history[..., 0, :])
-    err = np.subtract(truth_obs[None, :, None], history, out=history)
+    disagreement = _max_pairwise_distance(history[:, 0].transpose(2, 0, 1, 3))
+    # The error history seed-major (S, C, n, m, K_DIM), in C order, so that
+    # V sums its terms in one fixed order.
+    err = np.subtract(truth_obs[None, :, None], history.transpose(3, 0, 2, 1, 4),
+                      order="C")
     block_err = np.sqrt(np.einsum("scnmk,scnmk->scmn", err, err))
     v = _lyapunov_value(kernel, err.swapaxes(2, 3))
     # Mean of the observation matrices mask (I - b b^T) over the agents.
@@ -662,7 +666,7 @@ def run(scenario: Scenario, seeds=None):
     divergence time; the other seeds finish.
 
     Per chunk of samples: build the shared stream and the stage bearings,
-    advance the (S, n, m, K_DIM) estimate block one RK4 step per sample, then
+    advance the (m, n, S, K_DIM) estimate block one RK4 step per sample, then
     compute the monitors from the chunk's estimate history.
     """
     single = seeds is None
@@ -683,7 +687,7 @@ def run(scenario: Scenario, seeds=None):
 
     kernel = build_transformation(gains, 1).matrix
     rate = convergence_rate(gains)
-    k_col = np.asarray(gains.k)[:, None]
+    k_col = np.asarray(gains.k)[:, None, None, None]
 
     t_arr = np.arange(n_rows) * h
     block_err = np.empty((n_seeds, n_rows, m, n))
@@ -702,11 +706,11 @@ def run(scenario: Scenario, seeds=None):
         alpha_laplacian = gains.alpha * g.laplacian
         for chunk in _stream_chunks(scenario, rngs, n_rows):
             if est is None:
-                est = np.zeros((n_seeds, n, m, K_DIM))
-                est[:, :, 0] = _initial_positions(
+                est = np.zeros((m, n, n_seeds, K_DIM))
+                est[0] = _initial_positions(
                     chunk.positions[0], chunk.bearings[:, 0], chunk.avail[0],
                     radii, fallback, scenario.init_average,
-                )
+                ).swapaxes(0, 1)
             count = min(chunk.size, steps - chunk.first)
             est, history, failed = _integrate(
                 est, chunk, count, _stage_bearings(scenario, chunk, count, active),

@@ -259,6 +259,36 @@ def test_non_finite_derivative_is_a_divergence(tmp_path, capsys):
     assert not list(tmp_path.glob("s_seed*.csv"))
 
 
+NON_FINITE = [
+    ("run", "position = 0 -15 0", "position = nan -15 0", "[target] position"),
+    ("run", "position0 = -10 10 2", "position0 = -10 nan 2", "[agents] position0"),
+    ("run", "alpha = 15.9", "alpha = nan", "[gains] alpha"),
+    ("run", "position0 = -10 10 2", "position0 = -10 10 2\nloss0 = nan 1.0",
+     "[agents] loss0"),
+    ("run", "position0 = -10 10 2", "waypoints0 = 0 -10 10 2; 1 -10 inf 2",
+     "[agents] waypoints0"),
+    ("run", "edges = 0 1 1.0", "edges = 0 1 nan", "[graph] edges"),
+    ("run", "duration = 0.01", "duration = inf", "[sim] duration"),
+    ("certify", "bearing_std_deg = 0.01", "bearing_std_deg = nan",
+     "[noise] bearing_std_deg"),
+    ("certify", "velocity = 0 0.5 0", "velocity = 0 inf 0", "[target] velocity"),
+]
+
+
+@pytest.mark.parametrize("verb, old, new, key", NON_FINITE,
+                         ids=[case[3] for case in NON_FINITE])
+def test_non_finite_number_is_a_config_error(tmp_path, capsys, verb, old, new, key):
+    cfg = short_cfg(tmp_path, duration=0.01, extra=[(old, new)])
+    argv = [verb, "--config", cfg]
+    if verb == "run":
+        argv += ["--out", str(tmp_path / "n.csv")]
+    assert main(argv) == 2
+    lines = _error_lines(capsys.readouterr().err)
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {key}: ") and "finite" in lines[0]
+    assert not list(tmp_path.glob("n*.csv"))
+
+
 @pytest.mark.parametrize("verb", ["certify", "run"])
 def test_duration_not_a_whole_number_of_steps(tmp_path, capsys, verb):
     cfg = short_cfg(tmp_path, duration=0.0025)

@@ -139,6 +139,7 @@ init_average = true
         (("edges = 0 1 1.0; 1 2 1.0; 2 3 1.0; 3 0 1.0",
           "edges = 1 1 1.0"), "self-edge"),
         (("step = 0.001", "step = zero"), "number"),
+        (("position0 = -10 10 2", "waypoints0 = ;"), "no waypoints"),
     ],
 )
 def test_parse_diagnostics(tmp_path, mutation, message):

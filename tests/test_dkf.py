@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from contrack import dkf
+from contrack import dkf, sim
 from contrack.dkf import (
     INITIAL_INFORMATION,
     MEASUREMENT_NOISE,
@@ -14,6 +16,7 @@ from contrack.dkf import (
     mixing_matrix,
     prediction_terms,
     run_dkf,
+    state_estimates,
     transition_matrix,
 )
 from contrack.graph import build_graph
@@ -41,8 +44,12 @@ def no_measurements(n):
 
 
 def step(omegas, qs, measurements, iters, graph, h):
-    return dkf_step(omegas, qs, *local_information(*measurements),
-                    mixing_matrix(graph.adjacency, iters), prediction_terms(h))
+    """One filter cycle: the predicted stacks and the post-consensus estimates."""
+    omegas, qs, post_omegas, post_qs = dkf_step(
+        omegas, qs, *local_information(*measurements),
+        mixing_matrix(graph.adjacency, iters), prediction_terms(h),
+    )
+    return omegas, qs, state_estimates(post_omegas, post_qs)
 
 
 def test_pinned_baseline_parameters():
@@ -136,6 +143,28 @@ def test_baseline_failure_carries_the_time(monkeypatch):
         run_dkf(s)
     assert err.value.time == 0.0
     assert str(err.value).endswith("at t=0.000000 s")
+
+
+def test_baseline_failure_in_the_middle_of_a_chunk_carries_its_time(monkeypatch):
+    # Chunks of 8 samples; the 14th filter cycle (t = 0.013 s, row 5 of the
+    # second chunk) hands on a zero post-consensus information matrix. The
+    # estimates are solved once per chunk, and the failure still names that
+    # sample.
+    real_step = dkf.dkf_step
+    calls = itertools.count()
+
+    def zeroed_at_13(*args):
+        omegas, qs, post_omegas, post_qs = real_step(*args)
+        if next(calls) == 13:
+            post_omegas = np.zeros_like(post_omegas)
+        return omegas, qs, post_omegas, post_qs
+
+    monkeypatch.setattr(dkf, "dkf_step", zeroed_at_13)
+    monkeypatch.setattr(sim, "STREAM_CHUNK", 8)
+    with pytest.raises(BaselineFailure, match="insufficient information") as err:
+        run_dkf(scenario_cv(duration=0.05))
+    assert err.value.time == 13 * 1e-3
+    assert str(err.value).endswith("at t=0.013000 s")
 
 
 def test_non_finite_estimate_is_a_baseline_failure(monkeypatch):

@@ -32,6 +32,7 @@ from contrack.dkf import (
     mixing_matrix,
     prediction_terms,
     run_dkf,
+    state_estimates,
 )
 from contrack.gains import ObserverGains, build_transformation, consensus_alpha_bound
 from contrack.graph import build_graph
@@ -134,7 +135,9 @@ def test_batched_dkf_step_matches_per_agent_reference(seed, n, iters):
             meas.append((psi, psi @ p))
         local = local_information(np.array([psi for psi, _ in meas]),
                                   np.array([y for _, y in meas]))
-        omegas, qs, estimates = dkf_step(omegas, qs, *local, mixing, prediction)
+        omegas, qs, post_omegas, post_qs = dkf_step(omegas, qs, *local, mixing,
+                                                    prediction)
+        estimates = state_estimates(post_omegas, post_qs)
         ref, ref_estimates = reference_dkf_step(ref, meas, iters, adjacency, h)
         assert_allclose(estimates, ref_estimates, rtol=1e-9, atol=1e-9)
         for omega, q, (ref_omega, ref_q) in zip(omegas, qs, ref):
@@ -429,10 +432,11 @@ def test_network_derivative_matches_per_agent_operations(seed, n, order, angle_s
 
     laplacian = np.diag(adjacency.sum(axis=1)) - adjacency
     psi, y = sim._measurement_arrays(positions, bearings, available)
+    # The level-major block of one seed: (m, n, 1, 3).
     got = sim._network_derivative(
-        est[None], psi[None], y[None], gains.alpha * laplacian,
-        np.asarray(gains.k)[:, None],
-    )[0]
+        np.ascontiguousarray(est.transpose(1, 0, 2)[:, :, None]), psi[:, None],
+        y[:, None], gains.alpha * laplacian, np.asarray(gains.k)[:, None, None, None],
+    )[:, :, 0].transpose(1, 0, 2)
     assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
 
 
@@ -537,25 +541,36 @@ def test_sweep_with_one_diverging_seed_writes_the_other(tmp_path, monkeypatch, c
 
 
 def test_non_finite_seed_leaves_the_batch_alone():
-    # Seed 1's consensus term overflows at the first stage; seed 0 advances
-    # exactly as it does on its own.
+    # Seed 1's consensus term overflows at the first stage; seeds 0 and 2
+    # advance exactly as they do on their own.
     rng = np.random.default_rng(5)
     n = 4
     laplacian = 2.0 * np.eye(n) - ring_adjacency(n)
-    k_col = np.array([[5.0], [3.5]])
+    k_col = np.array([5.0, 3.5])[:, None, None, None]
     est = rng.normal(scale=10.0, size=(2, n, 2, 3))
     est[1, 0, 0] = 1e308
     bearings = rng.normal(size=(4, 2, n, 3))
     bearings /= np.linalg.norm(bearings, axis=-1, keepdims=True)
-    psi, y = sim._measurement_arrays(SQUARE_AGENTS, bearings, np.ones(n, dtype=bool))
+    # Seed 2: seed 0's estimates shifted, with seed 1's bearings.
+    est = np.concatenate([est, est[:1] + 1.0])
+    bearings = np.concatenate([bearings, bearings[:, 1:2]], axis=1)
+    # Level-major blocks: est (m, n, S, 3), stage bearings (4, n, S, 3).
+    est = np.ascontiguousarray(est.transpose(2, 1, 0, 3))
+    bearings = np.ascontiguousarray(bearings.transpose(0, 2, 1, 3))
+    psi, y = sim._measurement_arrays(SQUARE_AGENTS[:, None], bearings,
+                                     np.ones((n, 1), dtype=bool))
     args = (0.25, 1e-3)
     rest = (15.9 * laplacian, k_col)
     with np.errstate(over="ignore", invalid="ignore"):
         out, failed = sim._advance(est, *args, psi, y, *rest)
-        alone, none = sim._advance(est[:1], *args, psi[:, :1], y[:, :1], *rest)
-    assert none is None
-    assert failed[0] == np.inf and failed[1] == 0.25
-    assert np.array_equal(out[0], alone[0])
+        alone, none = sim._advance(est[:, :, :1], *args, psi[:, :, :1], y[:, :, :1],
+                                   *rest)
+        last, also_none = sim._advance(est[:, :, 2:], *args, psi[:, :, 2:], y[:, :, 2:],
+                                       *rest)
+    assert none is None and also_none is None
+    assert failed[0] == np.inf and failed[1] == 0.25 and failed[2] == np.inf
+    assert np.array_equal(out[:, :, 0], alone[:, :, 0])
+    assert np.array_equal(out[:, :, 2], last[:, :, 0])
 
 
 @settings(deadline=None, max_examples=8)
@@ -645,9 +660,11 @@ def test_run_matches_per_agent_reference_with_stage_truth_and_noise(seed, noise_
 
 
 @settings(deadline=None, max_examples=40)
-@given(st.integers(0, 10_000), st.integers(2, 40))
-def test_max_pairwise_distance_matches_double_loop(seed, n):
+@given(st.integers(0, 10_000), st.integers(2, 40), st.sampled_from([0.0, 1e6]))
+def test_max_pairwise_distance_matches_double_loop(seed, n, offset):
+    # A far offset (map coordinates) tests that the Gram form is centred.
     points = np.random.default_rng(seed).normal(scale=10.0, size=(2, 3, n, 3))
+    points += offset
     want = np.zeros((2, 3))
     for s in range(2):
         for c in range(3):

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from contrack.linalg import (
     ConvergenceError,
+    NonFiniteDerivative,
     is_pd,
     kron,
     projection_matrix,
@@ -203,6 +204,29 @@ def test_rk4_nonfinite_derivative_carries_time():
 
     with pytest.raises(ValueError, match="t=0.3"):
         rk4_step(f, 0.3, np.array([1.0]), 0.1)
+
+
+@pytest.mark.parametrize("stage", [0, 1, 2, 3])
+def test_rk4_reports_the_stage_time_of_the_first_non_finite_stage(stage):
+    # A NaN from one stage poisons every later stage; the first one is
+    # reported, at its own time.
+    t, h = 0.3, 0.1
+    calls = []
+
+    def f(ts, x):
+        calls.append(ts)
+        return np.array([np.nan]) if len(calls) == stage + 1 else -x
+
+    with pytest.raises(NonFiniteDerivative) as err:
+        rk4_step(f, t, np.array([1.0]), h)
+    assert err.value.time == (t, t + 0.5 * h, t + 0.5 * h, t + h)[stage]
+
+
+def test_rk4_overflowing_sum_of_finite_stages_is_returned():
+    # Each stage is finite; only their weighted sum overflows.
+    with np.errstate(over="ignore"):
+        out = rk4_step(lambda t, x: np.array([1e308]), 0.0, np.array([1e308]), 1.0)
+    assert out[0] == np.inf
 
 
 def test_rk4_rejects_nonpositive_step():
