@@ -2,119 +2,4 @@
 with gain certification, a deterministic simulator, and an information-filter
 baseline."""
 
-from .dkf import BaselineFailure, dkf_step, metropolis_weights, run_dkf
-from .gains import (
-    CertificationReport,
-    ObserverGains,
-    TransformationP,
-    build_qbar,
-    build_transformation,
-    build_xi,
-    certify,
-    closed_form_sigma,
-    compute_mu,
-    consensus_alpha_bound,
-    convergence_rate,
-    schur_pd_check,
-    spatial_excitation_margin,
-)
-from .graph import (
-    CommGraph,
-    DisconnectedGraphError,
-    GraphError,
-    build_graph,
-    is_connected,
-    lambda_min_positive,
-)
-from .linalg import (
-    ConvergenceError,
-    Spectrum,
-    is_pd,
-    kron,
-    projection_matrix,
-    rk4_step,
-    sym_eigen,
-    symmetrize,
-)
-from .observer import (
-    AgentState,
-    Measurement,
-    NeighborEstimate,
-    bearing_measurement,
-    broadcast_payload,
-    correction_term,
-    observer_derivative,
-    unavailable_measurement,
-)
-from .sim import (
-    AgentPath,
-    BearingUndefined,
-    DivergenceError,
-    RunLog,
-    Scenario,
-    comm_accounting,
-    dkf_floats_per_step,
-    lyapunov_monitor,
-    noisy_bearing,
-    observer_floats_per_step,
-    propagate_truth,
-    run,
-    runlog_to_csv,
-)
-
-__all__ = [
-    "AgentPath",
-    "AgentState",
-    "BaselineFailure",
-    "BearingUndefined",
-    "CertificationReport",
-    "CommGraph",
-    "ConvergenceError",
-    "DisconnectedGraphError",
-    "DivergenceError",
-    "GraphError",
-    "Measurement",
-    "NeighborEstimate",
-    "ObserverGains",
-    "RunLog",
-    "Scenario",
-    "Spectrum",
-    "TransformationP",
-    "bearing_measurement",
-    "broadcast_payload",
-    "build_graph",
-    "build_qbar",
-    "build_transformation",
-    "build_xi",
-    "certify",
-    "closed_form_sigma",
-    "comm_accounting",
-    "compute_mu",
-    "consensus_alpha_bound",
-    "convergence_rate",
-    "correction_term",
-    "dkf_floats_per_step",
-    "dkf_step",
-    "is_connected",
-    "is_pd",
-    "kron",
-    "lambda_min_positive",
-    "lyapunov_monitor",
-    "metropolis_weights",
-    "noisy_bearing",
-    "observer_derivative",
-    "observer_floats_per_step",
-    "projection_matrix",
-    "propagate_truth",
-    "rk4_step",
-    "run",
-    "run_dkf",
-    "runlog_to_csv",
-    "schur_pd_check",
-    "spatial_excitation_margin",
-    "sym_eigen",
-    "symmetrize",
-    "unavailable_measurement",
-]
-
 __version__ = "0.1.0"

@@ -128,6 +128,7 @@ def parse_config(path: str) -> LoadedConfig:
         loss.append(intervals)
 
     adjacency = np.zeros((count, count))
+    named = set()
     for row in _split_groups(_get(cp, "graph", "edges")):
         i_f, j_f, w = _floats(row, "[graph] edges", 3)
         if not (i_f.is_integer() and j_f.is_integer()):
@@ -137,6 +138,10 @@ def parse_config(path: str) -> LoadedConfig:
             raise ConfigError(f"[graph] edges: vertex out of range in {row!r}")
         if i == j:
             raise ConfigError(f"[graph] edges: self-edge not allowed in {row!r}")
+        pair = (min(i, j), max(i, j))
+        if pair in named:
+            raise ConfigError(f"[graph] edges: vertex pair {i} {j} named twice")
+        named.add(pair)
         adjacency[i, j] = adjacency[j, i] = w
     if not np.isfinite(adjacency).all():
         raise ConfigError("[graph] edges: values must be finite")
@@ -193,7 +198,7 @@ def emit_config(scenario: Scenario, out_csv: str | None = None) -> str:
     lines.append(f"order = {order}")
     for m in range(order):
         lines.append(f"{_block_key(m)} = {_vec(scenario.target_blocks[m])}")
-    if scenario.target_input is not None and not callable(scenario.target_input):
+    if scenario.target_input is not None:
         lines.append(f"input = {_vec(scenario.target_input)}")
 
     lines += ["", "[agents]", f"count = {scenario.n_agents}"]

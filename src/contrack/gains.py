@@ -21,7 +21,7 @@ coordinates in which the certified decay rate is measured.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -92,18 +92,7 @@ class CertificationReport:
     overall: bool
 
     def to_dict(self) -> dict:
-        return {
-            "connected": self.connected,
-            "mu": self.mu,
-            "spatial_margin": self.spatial_margin,
-            "alpha_bound": self.alpha_bound,
-            "alpha_ok": self.alpha_ok,
-            "qbar_lambda_min": self.qbar_lambda_min,
-            "lmi_ok": self.lmi_ok,
-            "rate_bound": self.rate_bound,
-            "step_ok": self.step_ok,
-            "overall": self.overall,
-        }
+        return asdict(self)
 
     def to_text(self) -> str:
         lines = []
@@ -128,14 +117,23 @@ def compute_mu(gains: ObserverGains) -> float:
     return (gains.delta * k1 + k2) / (k1 * k1)
 
 
-def _gain_ratios(k):
-    # c_l = k_{l+1} / k_l for l = 1..M-1 (1-based access via closure)
-    c = [k[l + 1] / k[l] for l in range(len(k) - 1)]
+def _ratio_matrix(k) -> np.ndarray:
+    """The M x M gain-ratio matrix R that Q-bar and Sigma share, for M >= 2.
 
-    def cl(l):
-        return c[l - 1]
-
-    return cl
+    With c_l = k_{l+1} / k_l: row 1 is c_{M-1}; entry (i, j) with
+    2 <= i <= j < M is c_{M-i} - c_{M-i+1}; the subdiagonal entry (j+1, j)
+    is -c_{M-j}. Entry (M, M), the one block the two matrices fill
+    differently, is left zero.
+    """
+    m = len(k)
+    c = [None] + [k[l] / k[l - 1] for l in range(1, m)]
+    r = np.zeros((m, m))
+    r[0] = c[m - 1]
+    for i in range(2, m + 1):
+        r[i - 1, i - 2] = -c[m - i + 1]
+        if i < m:
+            r[i - 1, i - 1:] = c[m - i] - c[m - i + 1]
+    return r
 
 
 def build_qbar(gains: ObserverGains) -> np.ndarray:
@@ -151,18 +149,8 @@ def build_qbar(gains: ObserverGains) -> np.ndarray:
             "gain matrix condition is undefined for first-order observers; "
             "the spatial excitation condition alone certifies M = 1"
         )
-    cl = _gain_ratios(gains.k)
-    sbar = np.zeros((m, m))
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            if i == 1:
-                sbar[i - 1, j - 1] = cl(m - 1)
-            elif i == m and j == m:
-                sbar[i - 1, j - 1] = gains.delta
-            elif 2 <= i <= j:
-                sbar[i - 1, j - 1] = cl(m - i) - cl(m - i + 1)
-            elif i == j + 1:
-                sbar[i - 1, j - 1] = -cl(m - j)
+    sbar = _ratio_matrix(gains.k)
+    sbar[-1, -1] = gains.delta
     return sbar + sbar.T
 
 
@@ -222,31 +210,18 @@ def build_xi(gains: ObserverGains, phi) -> np.ndarray:
 def closed_form_sigma(gains: ObserverGains, phi) -> np.ndarray:
     """Transformed error dynamics P Xi P^{-1}, written directly in gain ratios.
 
-    For M = 1 this is -k1 phi. For M >= 2 every block is a gain-ratio
-    multiple of the identity except the trailing diagonal block, which is
-    c_1 I - k1 phi: the transformation confines the time-varying part to a
-    single block.
+    For M = 1 this is -k1 phi. For M >= 2 it is -R (x) I, with R the gain-ratio
+    matrix of Q-bar, except the trailing diagonal block, which is c_1 I - k1 phi:
+    the transformation confines the time-varying part to a single block.
     """
     phi = symmetrize(phi)
     m, w = gains.order, phi.shape[0]
     if m == 1:
         return -gains.k[0] * phi
-    cl = _gain_ratios(gains.k)
     eye = np.eye(w)
-    sig = np.zeros((m * w, m * w))
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            if i == 1:
-                blk = -cl(m - 1) * eye
-            elif i == m and j == m:
-                blk = cl(1) * eye - gains.k[0] * phi
-            elif 2 <= i <= j:
-                blk = (cl(m - i + 1) - cl(m - i)) * eye
-            elif i == j + 1:
-                blk = cl(m - j) * eye
-            else:
-                continue
-            sig[(i - 1) * w:i * w, (j - 1) * w:j * w] = blk
+    # 0.0 - R rather than -R: the zero entries stay +0.0.
+    sig = np.kron(0.0 - _ratio_matrix(gains.k), eye)
+    sig[-w:, -w:] = gains.k[1] / gains.k[0] * eye - gains.k[0] * phi
     return sig
 
 
@@ -359,14 +334,10 @@ def certify(
         alpha_bound = float("inf")
     alpha_ok = bool(gains.alpha > alpha_bound)
 
-    if gains.order >= 2:
-        qbar_lambda_min = float(sym_eigen(build_qbar(gains)).values[0])
-        lmi_ok = qbar_lambda_min > 0.0 if gains.order >= 3 else True
-        rate_bound = qbar_lambda_min / 2.0
-    else:
-        qbar_lambda_min = None
-        lmi_ok = True
-        rate_bound = gains.delta * gains.k[0]
+    rate_bound = convergence_rate(gains)
+    # Exact: the rate is half of Q-bar's smallest eigenvalue.
+    qbar_lambda_min = 2.0 * rate_bound if gains.order >= 2 else None
+    lmi_ok = gains.order < 3 or qbar_lambda_min > 0.0
 
     step_ok = rk4_stable(gains, float(graph.spectrum.values[-1]), step)
     overall = bool(connected and margin > 0.0 and alpha_ok and lmi_ok and step_ok)

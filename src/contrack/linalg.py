@@ -81,11 +81,6 @@ def is_pd(a, margin: float = 0.0) -> bool:
     return bool(sym_eigen(a).values[0] > margin)
 
 
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two dense matrices."""
-    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-
-
 def projection_matrix(bearing) -> np.ndarray:
     """Orthogonal projector I - b b^T onto the plane normal to a unit 3-vector.
 

@@ -1,11 +1,12 @@
 """Deterministic simulation engine for the distributed observer.
 
-A run couples truth propagation, noisy bearing generation with per-agent loss
-schedules, joint fixed-step integration of all observers, and the runtime
-monitors: per-block error norms, the transformed-error Lyapunov value against
-its certified envelope, the spatial-excitation eigenvalue, consensus
-disagreement, and communication cost. Identical scenario + seed gives a
-bit-identical log.
+The target is an integrator chain whose top derivative is free or driven by a
+constant input, so its truth has an exact polynomial flow. A run couples that
+truth, noisy bearing generation with per-agent loss schedules, joint
+fixed-step integration of all observers, and the runtime monitors: per-block
+error norms, the transformed-error Lyapunov value against its certified
+envelope, the spatial-excitation eigenvalue, consensus disagreement, and
+communication cost. Identical scenario + seed gives a bit-identical log.
 
 The truth, the agent positions, the loss mask and the bearings do not depend
 on the estimates; only the correction term closes the loop. run() therefore
@@ -29,7 +30,7 @@ positions are sampled once per step and held over its stages.
 """
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,9 +96,9 @@ class Scenario:
     target_blocks stacks the target's initial position and derivatives (one
     row per integrator level, metres and metric derivatives); its row count
     may differ from the observer order in gains (model-mismatch studies).
-    target_input optionally drives the target's top derivative: a constant
-    3-vector or a callable t -> 3-vector. loss_schedule holds, per agent, a
-    tuple of (start, end) unavailability intervals in seconds.
+    target_input optionally drives the target's top derivative with a constant
+    3-vector. loss_schedule holds, per agent, a tuple of (start, end)
+    unavailability intervals in seconds.
     """
 
     gains: ObserverGains
@@ -108,7 +109,7 @@ class Scenario:
     duration: float
     seed: int
     noise_std_deg: float = 0.0
-    target_input: object = None
+    target_input: np.ndarray | None = None
     loss_schedule: tuple = ()
     init_range: tuple = (5.0, 30.0)
     init_average: bool = False
@@ -134,6 +135,14 @@ class Scenario:
             raise ValueError("bearing noise std must be nonnegative")
         if target.shape[1] != K_DIM:
             raise ValueError(f"target blocks must have {K_DIM} columns")
+        u = self.target_input
+        if u is not None:
+            try:
+                u = np.asarray(u, dtype=float)
+            except (TypeError, ValueError):
+                u = None
+            if u is None or u.shape != (K_DIM,) or not np.isfinite(u).all():
+                raise ValueError(f"target input must be a finite {K_DIM}-vector")
         n = adjacency.shape[0]
         if len(paths) != n:
             raise ValueError(f"{len(paths)} agent paths for a {n}-vertex graph")
@@ -148,6 +157,7 @@ class Scenario:
             raise ValueError("init range must satisfy 0 < lo <= hi")
         object.__setattr__(self, "adjacency", adjacency)
         object.__setattr__(self, "target_blocks", target)
+        object.__setattr__(self, "target_input", u)
         object.__setattr__(self, "agent_paths", paths)
         object.__setattr__(self, "loss_schedule", loss)
         object.__setattr__(self, "init_range", (float(lo), float(hi)))
@@ -171,9 +181,6 @@ class Scenario:
             for start, end in intervals:
                 avail[:, i] &= ~((start <= times) & (times < end))
         return avail
-
-    def with_seed(self, seed: int) -> "Scenario":
-        return replace(self, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -206,39 +213,14 @@ class RunLog:
         return self.block_errors.shape[2]
 
 
-def propagate_truth(initial_blocks, t: float, u=None, step: float = 1e-3):
-    """Target state at time t for an integrator chain started at initial_blocks.
-
-    Without input the chain has an exact polynomial flow. A constant input is
-    folded in exactly as one extra chain level; an arbitrary callable input is
-    integrated numerically at the given step.
-    """
-    blocks = np.atleast_2d(np.asarray(initial_blocks, dtype=float))
-    if not callable(u):
-        return _truth_table(blocks, t, u)
-
-    def deriv(ts, flat):
-        x = flat.reshape(blocks.shape)
-        d = np.empty_like(x)
-        d[:-1] = x[1:]
-        d[-1] = np.asarray(u(ts), dtype=float)
-        return d.ravel()
-
-    state = blocks.ravel().copy()
-    now = 0.0
-    while now < t - 1e-15:
-        h = min(step, t - now)
-        state = rk4_step(deriv, now, state, h)
-        now += h
-    return state.reshape(blocks.shape)
-
-
-def _truth_table(blocks: np.ndarray, times, u=None) -> np.ndarray:
-    """Exact chain state at each time, shape times.shape + blocks.shape.
+def propagate_truth(initial_blocks, times, u=None) -> np.ndarray:
+    """Exact state of the integrator chain started at initial_blocks at each
+    of the times, shape times.shape + blocks.shape.
 
     A constant input u on the top derivative is folded in as one extra chain
     level.
     """
+    blocks = np.atleast_2d(np.asarray(initial_blocks, dtype=float))
     if u is not None:
         blocks = np.vstack([blocks, np.reshape(u, (1, blocks.shape[1]))])
     times = np.asarray(times, dtype=float)
@@ -251,24 +233,6 @@ def _truth_table(blocks: np.ndarray, times, u=None) -> np.ndarray:
                 coeff = coeff * (times / (r - m))
             out[..., m, :] += coeff[..., None] * blocks[r]
     return out if u is None else out[..., :-1, :]
-
-
-def noisy_bearing(p_target, p_agent, angle_std_deg: float, rng) -> np.ndarray:
-    """Unit bearing from agent to target, rotated by a Gaussian angle about a
-    uniformly random axis orthogonal to the true bearing.
-
-    Draws the angle, then the axis phase, from rng: one sample of the
-    stream's per-agent noise.
-    """
-    d = np.asarray(p_target, dtype=float) - np.asarray(p_agent, dtype=float)
-    dist = np.linalg.norm(d)
-    if dist == 0.0:
-        raise BearingUndefined("bearing undefined: target and agent positions coincide")
-    b = (d / dist)[None]
-    theta = np.array([rng.normal(0.0, np.deg2rad(angle_std_deg))])
-    phase = np.array([rng.uniform(0.0, 2.0 * np.pi)])
-    axes = _noise_axes(b, np.cos(phase), np.sin(phase))
-    return _apply_rotations(b, np.cos(theta), np.sin(theta), axes)[0]
 
 
 def _cross_rows(a, b):
@@ -419,25 +383,16 @@ def _stream_chunks(scenario: Scenario, rngs, n_samples: int):
     Only the noise draws are per seed; per seed and sample they are N
     rotation angles, then N axis phases, from that seed's generator.
     """
-    u = scenario.target_input
     h = scenario.step
     n = scenario.n_agents
     std_rad = np.deg2rad(scenario.noise_std_deg)
     size = max(1, STREAM_AGENT_SAMPLES // (n * len(rngs)))
-    truth = scenario.target_blocks
     for block in range(0, n_samples, STREAM_CHUNK):
         idx = np.arange(block, min(block + STREAM_CHUNK, n_samples))
         block_times = idx * h
-        if callable(u):
-            states = []
-            for s in idx.tolist():
-                if s > 0:
-                    truth = propagate_truth(truth, h, u=_shift_input(u, (s - 1) * h),
-                                            step=h)
-                states.append(truth)
-            truth_table = np.array(states)
-        else:
-            truth_table = _truth_table(scenario.target_blocks, block_times, u)
+        truth_table = propagate_truth(
+            scenario.target_blocks, block_times, scenario.target_input
+        )
         path_table = _path_table(scenario.agent_paths, block_times)
         avail_table = scenario.availability(block_times)
         for start in range(0, idx.size, size):
@@ -476,10 +431,6 @@ def _stream_chunks(scenario: Scenario, rngs, n_samples: int):
             )
 
 
-def _shift_input(u, offset: float):
-    return lambda ts: u(ts + offset)
-
-
 def _stage_bearings(scenario: Scenario, chunk: _Chunk, count: int, seeds):
     """Measured bearings at the four RK4 stages of the chunk's first count
     steps for the given seed indices, shape (count, 4, n, len(seeds), K_DIM).
@@ -494,18 +445,16 @@ def _stage_bearings(scenario: Scenario, chunk: _Chunk, count: int, seeds):
     truth = chunk.truth[:count]
     times = chunk.times[:count]
 
-    def chain(x, tau):
+    def chain(x):
         d = np.zeros_like(x)
         d[:, :-1] = x[:, 1:]
-        if callable(u):
-            d[:, -1] = np.array([u(ts) for ts in tau]).reshape(-1, K_DIM)
-        elif u is not None:
+        if u is not None:
             d[:, -1] = u
         return d
 
-    x2 = truth + 0.5 * h * chain(truth, times)
-    x3 = truth + 0.5 * h * chain(x2, times + 0.5 * h)
-    x4 = truth + h * chain(x3, times + 0.5 * h)
+    x2 = truth + 0.5 * h * chain(truth)
+    x3 = truth + 0.5 * h * chain(x2)
+    x4 = truth + h * chain(x3)
     stage_truth = np.stack([truth[:, 0], x2[:, 0], x3[:, 0], x4[:, 0]], axis=1)
     stage_times = times[:, None] + h * np.array([0.0, 0.5, 0.5, 1.0])
     b_stages = _true_bearings(stage_truth, chunk.positions[:count, None], stage_times)
@@ -766,26 +715,6 @@ def _lyapunov_value(kernel, err):
     return 0.5 * np.einsum("...lak,...lak->...", eta, eta)
 
 
-def lyapunov_monitor(x_tilde, gains: ObserverGains, t: float, t0: float, v0: float,
-                     transform=None):
-    """Transformed-error Lyapunov value and its certified exponential envelope.
-
-    x_tilde stacks the network error block-major (all agents' block 0, then
-    block 1, ...). A prebuilt transformation of any block size may be passed;
-    only its m x m kernel is used.
-    """
-    x = np.asarray(x_tilde, dtype=float)
-    if x.size % gains.order:
-        raise ValueError("error vector length is not a multiple of the order")
-    if transform is None:
-        transform = build_transformation(gains, 1)
-    w = transform.block_dim
-    kernel = transform.matrix[::w, ::w]
-    v = float(_lyapunov_value(kernel, x.reshape(gains.order, -1, 1)))
-    bound = v0 * np.exp(-2.0 * convergence_rate(gains) * (t - t0))
-    return v, bound
-
-
 def observer_floats_per_step(k_dim: int = K_DIM) -> int:
     """Floats broadcast per agent per step: just the first state block."""
     return int(k_dim)
@@ -794,14 +723,6 @@ def observer_floats_per_step(k_dim: int = K_DIM) -> int:
 def dkf_floats_per_step(state_dim: int, consensus_iters: int) -> int:
     """Floats broadcast per agent per step by the information-pair baseline."""
     return int((state_dim * state_dim + state_dim) * consensus_iters)
-
-
-def comm_accounting(step_events) -> np.ndarray:
-    """Cumulative per-agent float counts from a sequence of per-step sizes."""
-    counts = np.asarray(list(step_events), dtype=float)
-    if counts.size == 0:
-        return np.zeros(0)
-    return np.cumsum(counts)
 
 
 _BLOCK_NAMES = ("pos", "vel", "acc")

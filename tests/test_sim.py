@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from contrack.gains import ObserverGains, build_transformation
+from contrack.gains import ObserverGains, build_transformation, convergence_rate
 from contrack.graph import GraphError
 from contrack.linalg import rk4_step, sym_eigen
 from contrack.observer import (
@@ -14,17 +16,16 @@ from contrack.observer import (
 )
 from contrack.sim import (
     AgentPath,
+    BearingUndefined,
     DivergenceError,
     Scenario,
     _apply_rotations,
     _init_draws,
+    _lyapunov_value,
     _noise_axes,
     _true_bearings,
-    comm_accounting,
     csv_header,
     dkf_floats_per_step,
-    lyapunov_monitor,
-    noisy_bearing,
     observer_floats_per_step,
     propagate_truth,
     run,
@@ -38,6 +39,11 @@ def test_propagate_truth_linear_flow():
     out = propagate_truth(blocks, 10.0)
     assert_allclose(out[0], [0.0, -10.0, 0.0], atol=1e-12)
     assert_allclose(out[1], [0.0, 0.5, 0.0], atol=1e-15)
+    times = np.array([[0.0, 2.5], [10.0, 7.0]])
+    table = propagate_truth(blocks, times)
+    assert table.shape == (2, 2, 2, 3)
+    for idx in np.ndindex(times.shape):
+        assert np.array_equal(table[idx], propagate_truth(blocks, times[idx]))
 
 
 def test_propagate_truth_quadratic_flow():
@@ -51,7 +57,7 @@ def test_propagate_truth_quadratic_flow():
 def test_propagate_truth_zero_input_reduces_to_autonomous():
     blocks = np.array([[1.0, 2.0, 3.0], [0.5, -0.5, 0.0]])
     exact = propagate_truth(blocks, 2.0)
-    via_input = propagate_truth(blocks, 2.0, u=lambda t: np.zeros(3), step=1e-2)
+    via_input = propagate_truth(blocks, 2.0, u=np.zeros(3))
     assert_allclose(via_input, exact, atol=1e-12)
 
 
@@ -64,10 +70,19 @@ def test_propagate_truth_constant_input_exact():
     assert_allclose(out[0], [3.0, 9.0, 0.0], atol=1e-12)
 
 
+def rotated_bearings(p_target, p_agents, angle_std_deg, rng):
+    # One sample of the stream's noise: N rotation angles, then N axis phases.
+    b = _true_bearings(p_target, p_agents, 0.0)
+    theta = rng.normal(0.0, np.deg2rad(angle_std_deg), size=b.shape[0])
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=b.shape[0])
+    axes = _noise_axes(b, np.cos(phase), np.sin(phase))
+    return _apply_rotations(b, np.cos(theta), np.sin(theta), axes)
+
+
 def test_noisy_bearing_zero_std_is_exact():
     rng = np.random.default_rng(0)
-    b = noisy_bearing(np.array([1.0, 2.0, 2.0]), np.zeros(3), 0.0, rng)
-    assert_allclose(b, np.array([1.0, 2.0, 2.0]) / 3.0, atol=1e-15)
+    b = rotated_bearings(np.array([1.0, 2.0, 2.0]), np.zeros((1, 3)), 0.0, rng)
+    assert_allclose(b[0], np.array([1.0, 2.0, 2.0]) / 3.0, atol=1e-15)
 
 
 def test_noisy_bearing_unit_norm_bulk():
@@ -84,8 +99,8 @@ def test_noisy_bearing_unit_norm_bulk():
     assert worst <= 1e-12
 
     for _ in range(1000):
-        out = noisy_bearing(rng.normal(size=3) * 10.0, np.zeros(3), 1.0, rng)
-        assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
+        out = rotated_bearings(rng.normal(size=3) * 10.0, np.zeros((1, 3)), 1.0, rng)
+        assert abs(np.linalg.norm(out[0]) - 1.0) <= 1e-12
 
 
 def test_noisy_bearing_angle_statistics():
@@ -106,8 +121,8 @@ def test_noisy_bearing_angle_statistics():
 
 def test_noisy_bearing_coincident_positions():
     rng = np.random.default_rng(3)
-    with pytest.raises(ValueError, match="coincide"):
-        noisy_bearing(np.ones(3), np.ones(3), 0.1, rng)
+    with pytest.raises(BearingUndefined, match="coincide"):
+        rotated_bearings(np.ones(3), np.ones((1, 3)), 0.1, rng)
 
 
 def test_run_equilibrium_static_target():
@@ -155,7 +170,7 @@ def test_run_determinism_bit_identical():
     for field in ("t", "block_errors", "v", "v_bound", "lambda_min_spatial",
                   "disagreement", "comm_floats", "bearings"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
-    other = run(s.with_seed(99))
+    other = run(replace(s, seed=99))
     assert other.bearing_checksum != a.bearing_checksum
 
 
@@ -274,24 +289,25 @@ def test_run_divergence_aborts_with_time():
 
 def test_lyapunov_monitor_basics():
     gains = ObserverGains(k=(5.0, 3.5), alpha=15.9, delta=0.8, gamma=0.1)
-    v, bound = lyapunov_monitor(np.zeros(24), gains, t=3.0, t0=0.0, v0=7.0)
-    assert v == 0.0
-    v, bound = lyapunov_monitor(np.ones(24), gains, t=0.0, t0=0.0, v0=7.0)
-    assert bound == pytest.approx(7.0)
+    kernel = build_transformation(gains, 1).matrix
+    assert _lyapunov_value(kernel, np.zeros((2, 12, 1))) == 0.0
 
     rng = np.random.default_rng(8)
     x = rng.normal(size=24)
-    transform = build_transformation(gains, 12)
-    v, bound = lyapunov_monitor(x, gains, t=1.0, t0=0.0, v0=5.0,
-                                transform=transform)
-    eta = transform.matrix @ x
+    eta = build_transformation(gains, 12).matrix @ x
+    v = _lyapunov_value(kernel, x.reshape(2, 12, 1))
     assert v == pytest.approx(0.5 * float(eta @ eta), rel=1e-12)
-    assert bound == pytest.approx(5.0 * np.exp(-1.4), rel=1e-12)
+
+    # The envelope starts at V(0) and decays at twice the certified rate.
+    assert convergence_rate(gains) == pytest.approx(0.7, rel=1e-12)
+    log = run(scenario_cv(gains=gains, duration=0.05))
+    assert log.v_bound[0] == log.v[0]
+    assert_allclose(log.v_bound, log.v[0] * np.exp(-1.4 * log.t), rtol=1e-12)
 
 
 def test_comm_accounting():
-    assert_allclose(comm_accounting([3, 3, 3]), [3.0, 6.0, 9.0])
-    assert comm_accounting([]).size == 0
+    log = run(scenario_cv(duration=0.01))
+    assert_allclose(log.comm_floats, 3.0 * np.arange(11))
     assert observer_floats_per_step(3) == 3
     assert dkf_floats_per_step(6, 2) == 84
     assert dkf_floats_per_step(6, 1) == 42
@@ -360,6 +376,24 @@ def test_scenario_validation():
         scenario_cv(agent_paths=tuple(SQUARE_AGENTS[:3]))
     with pytest.raises(ValueError):
         scenario_cv(loss_schedule=(((0.0, 1.0),),))
+
+
+@pytest.mark.parametrize(
+    "target_input",
+    [lambda _t: np.zeros(3), np.zeros(2), np.zeros((1, 3)), "abc",
+     [0.0, np.nan, 0.0], [np.inf, 0.0, 0.0]],
+    ids=["callable", "2-vector", "row", "text", "nan", "inf"],
+)
+def test_scenario_rejects_a_target_input_that_is_not_a_finite_3_vector(target_input):
+    with pytest.raises(ValueError, match="target input must be a finite 3-vector"):
+        scenario_cv(target_input=target_input)
+
+
+def test_scenario_holds_the_constant_input_as_a_float_array():
+    s = scenario_cv(target_input=[0, 1, 2])
+    assert s.target_input.dtype == float
+    assert np.array_equal(s.target_input, [0.0, 1.0, 2.0])
+    assert scenario_cv().target_input is None
 
 
 def test_moving_agents_supported():
